@@ -17,7 +17,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import diffcore, frontend, netmodel, objectives, quality
-from .frontend import LogSpectrogram, Waveform
+from .frontend import LogSpectrogram, PhaseSpectrogram, Waveform
 from .netmodel import ModelConfig, ModelParams
 from .objectives import TrainConfig
 
@@ -155,7 +155,8 @@ def cmd_synth(config: RunConfig, out_dir: str) -> int:
         clean = corpus_mod.synth_speech(config.duration_s, config.corpus_seed + i)
         corpus_mod.write_wav(clean_dir / f"{utt_id}.wav", clean)
         rows.append((utt_id, f"clean/{utt_id}.wav", clean.duration_s))
-        for (rt60, name), drr in zip(conditions, _cycle(config.train.drr_choices, i)):
+        for j, (rt60, name) in enumerate(conditions):
+            drr = config.train.drr_choices[(i + j) % len(config.train.drr_choices)]
             spec = corpus_mod.CorruptionSpec(
                 rir=corpus_mod.make_rir_spec(
                     rt60, corpus_mod.room_drr(rt60, drr), config.corpus_seed * 7919 + i
@@ -168,12 +169,6 @@ def cmd_synth(config: RunConfig, out_dir: str) -> int:
     corpus_mod.write_manifest(out / "manifest.csv", rows)
     print(f"wrote {len(rows)} utterances x {len(conditions)} conditions under {out}")
     return 0
-
-
-def _cycle(choices, offset: int):
-    while True:
-        yield choices[offset % len(choices)]
-        offset += 1
 
 
 def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume: str | None) -> int:
@@ -209,18 +204,28 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
     return 0
 
 
-def enhance_waveform(
-    model: ModelParams, noisy: Waveform, blocks: int | None = None, want_probes: bool = False
-) -> tuple[Waveform, list[LogSpectrogram] | None]:
-    """Features -> forward (optionally truncated) -> overlap-add resynthesis."""
+def _enhance(
+    model: ModelParams, noisy: Waveform, blocks: int | None, want_probes: bool
+) -> tuple[Waveform, list[LogSpectrogram] | None, PhaseSpectrogram]:
     active = model if blocks is None else netmodel.truncate(model, blocks)
     feats, phase = frontend.assemble_features(noisy)
     spectrum, trace = netmodel.forward(active, feats, want_probes=want_probes)
     enhanced = frontend.reconstruct(spectrum, phase, noisy.samples.size)
-    probes = None
-    if want_probes and trace is not None:
-        probes = [LogSpectrogram(p.frames) for p in trace.outputs]
+    return enhanced, None if trace is None else trace.outputs, phase
+
+
+def enhance_waveform(
+    model: ModelParams, noisy: Waveform, blocks: int | None = None, want_probes: bool = False
+) -> tuple[Waveform, list[LogSpectrogram] | None]:
+    """Features -> forward (optionally truncated) -> overlap-add resynthesis."""
+    enhanced, probes, _ = _enhance(model, noisy, blocks, want_probes)
     return enhanced, probes
+
+
+def _write_peak_normalized(path, wave: Waveform) -> None:
+    """Write ``wave`` as a WAV, scaled to a peak of 1 if it would clip."""
+    peak = np.max(np.abs(wave.samples))
+    corpus_mod.write_wav(path, Waveform(wave.samples / peak) if peak > 1.0 else wave)
 
 
 def cmd_enhance(checkpoint: str, in_wav: str, out_wav: str, blocks: int | None, probes_dir: str | None) -> int:
@@ -229,24 +234,17 @@ def cmd_enhance(checkpoint: str, in_wav: str, out_wav: str, blocks: int | None, 
         raise ConfigError(f"--blocks must be in [1, {model.config.blocks}], got {blocks}")
     noisy = corpus_mod.read_wav(in_wav)
 
-    want_probes = probes_dir is not None
-    enhanced, probes = enhance_waveform(model, noisy, blocks, want_probes)
-    peak = np.max(np.abs(enhanced.samples))
-    if peak > 1.0:
-        enhanced = Waveform(enhanced.samples / peak)
-    corpus_mod.write_wav(out_wav, enhanced)
+    enhanced, probes, phase = _enhance(model, noisy, blocks, probes_dir is not None)
+    _write_peak_normalized(out_wav, enhanced)
 
-    if want_probes and probes is not None:
-        _, phase = frontend.assemble_features(noisy)
+    if probes is not None:
         pdir = Path(probes_dir)
         pdir.mkdir(parents=True, exist_ok=True)
         for l, spectrum in enumerate(probes, start=1):
             np.savetxt(pdir / f"block_{l:02d}.csv", spectrum.frames, delimiter=",")
-            wav = frontend.reconstruct(spectrum, phase, noisy.samples.size)
-            peak = np.max(np.abs(wav.samples))
-            if peak > 1.0:
-                wav = Waveform(wav.samples / peak)
-            corpus_mod.write_wav(pdir / f"block_{l:02d}.wav", wav)
+            _write_peak_normalized(
+                pdir / f"block_{l:02d}.wav", frontend.reconstruct(spectrum, phase, noisy.samples.size)
+            )
         print(f"wrote {len(probes)} probe spectra and reconstructions to {pdir}")
     return 0
 
@@ -347,8 +345,8 @@ def cmd_gradcheck(step: float) -> int:
         target = rng.standard_normal((config.channels, 12))
 
         def loss_fn():
-            final, probes = netmodel.forward_nodes(model, diffcore.Node(x), want_probes=True)
-            total, _ = objectives.cost_graph(final, probes, target, alpha=0.1)
+            _, probes = netmodel.forward_nodes(model, diffcore.Node(x), want_probes=True)
+            total, _ = objectives.cost_graph(probes, target, alpha=0.1)
             return total
 
         # finite differences are only valid away from the PReLU kink

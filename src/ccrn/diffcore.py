@@ -133,29 +133,19 @@ def _as_batched(a: Array, what: str) -> tuple[Array, bool]:
     raise ValueError(f"{what}: expected a (C, T) or (B, C, T) array, got shape {a.shape}")
 
 
-def _correlate(x3: Array, w: Array, padding: int) -> tuple[Array, Array]:
-    """Cross-correlation over the last axis via im2col + one matmul.
-
-    Returns the (B, C_out, T') output and the (B*T', C_in*k) patch matrix
-    (reused by the weight-gradient computation).
-    """
-    c_out, c_in, k = w.shape
-    b, _, _ = x3.shape
-    if padding:
-        x3 = np.pad(x3, ((0, 0), (0, 0), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x3, k, axis=2)  # (B, C_in, T', k)
-    t_out = windows.shape[2]
-    cols = windows.transpose(0, 2, 1, 3).reshape(b * t_out, c_in * k)
-    out = cols @ w.reshape(c_out, c_in * k).T
-    return out.reshape(b, t_out, c_out).transpose(0, 2, 1), cols
-
-
 def conv1d(x: Node, weight: Node, bias: Node, padding: int | None = None) -> Node:
-    """1-D convolution (cross-correlation) along the time axis.
+    """1-D convolution (cross-correlation) along the time axis, as k shifted matmuls.
 
     weight is (C_out, C_in, k) with k odd; padding defaults to (k-1)/2 so
-    the output keeps the input length. Differentiable w.r.t. input, weight
-    and bias.
+    the output keeps the input length. With x_pad the input zero-padded by
+    ``padding`` frames at both ends and T' = T + 2*padding - k + 1:
+
+        out = bias + sum_j W[:, :, j] @ x_pad[..., j:j+T']
+
+    The backward pass reads the same sum in reverse,
+    dW[:, :, j] = sum_b g @ x_pad[..., j:j+T']^T and
+    dx_pad[..., j:j+T'] += W[:, :, j]^T @ g, then crops the padding.
+    Differentiable w.r.t. input, weight and bias.
     """
     w = weight.value
     if w.ndim != 3:
@@ -166,26 +156,31 @@ def conv1d(x: Node, weight: Node, bias: Node, padding: int | None = None) -> Nod
     if padding is None:
         padding = (k - 1) // 2
     xv, unbatched = _as_batched(x.value, "conv1d")
-    b, c, t = xv.shape
+    _, c, t = xv.shape
     if c != c_in:
         raise ValueError(f"conv1d: input has {c} channels but weight expects {c_in}")
+    t_out = t + 2 * padding - k + 1
+    if t_out < 1:
+        raise ValueError(f"conv1d: {t} frames with padding {padding} are too few for kernel size {k}")
 
-    out3, cols = _correlate(xv, w, padding)
-    out3 = out3 + bias.value[:, None]
-    t_out = out3.shape[2]
+    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
+    out3 = w[:, :, 0] @ xp[:, :, :t_out]
+    for j in range(1, k):
+        out3 += w[:, :, j] @ xp[:, :, j:j + t_out]
+    out3 += bias.value[:, None]
 
     def backward(g: Array) -> None:
         g3 = g if g.ndim == 3 else g[None]
         if bias.requires_grad:
             bias.ensure_grad()[...] += g3.sum(axis=(0, 2))
         if weight.requires_grad:
-            g2 = g3.transpose(0, 2, 1).reshape(b * t_out, c_out)
-            weight.ensure_grad()[...] += (g2.T @ cols).reshape(c_out, c_in, k)
+            dw = weight.ensure_grad()
+            for j in range(k):
+                dw[:, :, j] += (g3 @ xp[:, :, j:j + t_out].transpose(0, 2, 1)).sum(axis=0)
         if x.requires_grad:
-            # full correlation of the output gradient with the flipped,
-            # channel-transposed kernel, then crop the padding margin
-            w_t = w[:, :, ::-1].transpose(1, 0, 2)
-            dxp, _ = _correlate(g3, np.ascontiguousarray(w_t), k - 1)
+            dxp = np.zeros_like(xp)
+            for j in range(k):
+                dxp[:, :, j:j + t_out] += w[:, :, j].T @ g3
             dx = dxp[:, :, padding:padding + t]
             x.ensure_grad()[...] += dx[0] if unbatched else dx
 

@@ -299,13 +299,20 @@ def _write_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_array(fh: BinaryIO) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<B", fh.read(1))
-    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
+def _read_exact(fh: BinaryIO, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: checkpoint is truncated")
+    return data
+
+
+def _read_array(fh: BinaryIO, path) -> tuple[str, np.ndarray]:
+    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
+    name = _read_exact(fh, name_len, path).decode("utf-8")
+    (rank,) = struct.unpack("<B", _read_exact(fh, 1, path))
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path))
     count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(dims)
+    data = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4").reshape(dims)
     return name, data
 
 
@@ -339,15 +346,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a CCRN01 checkpoint (magic {magic!r})")
-        (kind_code,) = struct.unpack("<B", fh.read(1))
+        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1, path))
         if kind_code not in _KIND_NAMES:
             raise ValueError(f"{path}: unknown model kind code {kind_code}")
-        blocks, channels, state_step, kernel, input_dim = struct.unpack("<5I", fh.read(20))
+        blocks, channels, state_step, kernel, input_dim = struct.unpack("<5I", _read_exact(fh, 20, path))
         config = ModelConfig(_KIND_NAMES[kind_code], blocks, channels, state_step, kernel, input_dim)
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name, arr = _read_array(fh)
+            name, arr = _read_array(fh, path)
             if name in arrays:
                 raise ValueError(f"{path}: duplicate array {name!r}")
             arrays[name] = arr

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -108,28 +109,26 @@ def progressive_cost(target, probes, alpha: float, exclude_final: bool = False) 
 
 
 def cost_graph(
-    final: Node, probes: Sequence[Node], target: np.ndarray, alpha: float, exclude_final: bool = False
+    probes: Sequence[Node], target: np.ndarray, alpha: float, exclude_final: bool = False
 ) -> tuple[Node, CostReport]:
     """Differentiable cost node plus the per-block report for logging.
 
-    With alpha = 0 the graph is exactly the plain final-block cost (no
-    probe nodes enter it), so the parameter trajectory is bit-identical to
-    a run without progressive supervision.
+    Each block's probe gets one cost node; the last block's node is the
+    main cost, and the report reads its values from these nodes. With
+    alpha = 0 the graph is exactly that main node (no other probe enters
+    it), so the parameter trajectory is bit-identical to a run without
+    progressive supervision.
     """
-    main = diffcore.mse(final, target)
-    per_block = [mse_cost(target, p.value) for p in probes]
-    if alpha == 0.0:
+    block_costs = [diffcore.mse(p, target) for p in probes]
+    main = block_costs[-1]
+    aux_nodes = block_costs[:-1] if exclude_final else block_costs
+    if alpha == 0.0 or not aux_nodes:
         total = main
     else:
-        aux_nodes = [diffcore.mse(p, target) for p in probes]
-        if exclude_final:
-            aux_nodes = aux_nodes[:-1]
-        if aux_nodes:
-            aux = diffcore.scale(diffcore.add_scalars(aux_nodes), alpha / len(aux_nodes))
-            total = diffcore.add_scalars([main, aux])
-        else:
-            total = main
-    return total, CostReport(float(total.value), float(main.value), per_block)
+        aux = diffcore.scale(diffcore.add_scalars(aux_nodes), alpha / len(aux_nodes))
+        total = diffcore.add_scalars([main, aux])
+    per_block = [float(node.value) for node in block_costs]
+    return total, CostReport(float(total.value), per_block[-1], per_block)
 
 
 def adamw_step(params: Sequence[tuple[str, Node]], state: OptimizerState, cfg: TrainConfig) -> None:
@@ -224,10 +223,12 @@ def train(
 ) -> list[CostReport]:
     """Run AdamW updates of the (progressive) cost; returns per-step reports.
 
-    Writes one CSV row per step to ``log_path`` and refreshes
-    ``checkpoint_path`` every ``cfg.checkpoint_interval`` steps and at the
-    end (optimizer moments ride along, so a resumed run continues the
-    exact trajectory). Divergence aborts with the last checkpoint intact.
+    Writes one CSV row per step to ``log_path``; a resumed run first
+    rewrites the log as the header plus the rows below ``start_step``.
+    Refreshes ``checkpoint_path`` every ``cfg.checkpoint_interval`` steps
+    and saves it once at the end (optimizer moments ride along, so a
+    resumed run continues the exact trajectory). Divergence aborts with the
+    last checkpoint intact.
     """
     params = netmodel.named_parameters(model)
     state = opt_state if opt_state is not None else OptimizerState()
@@ -239,10 +240,14 @@ def train(
     log_fh = None
     writer = None
     if log_path is not None:
-        log_fh = open(log_path, "a" if start_step else "w", newline="")
+        kept = []
+        if start_step and os.path.exists(log_path):
+            with open(log_path, newline="") as fh:
+                kept = [row for row in list(csv.reader(fh))[1:] if int(row[0]) < start_step]
+        log_fh = open(log_path, "w", newline="")
         writer = csv.writer(log_fh)
-        if not start_step:
-            writer.writerow(["step", "total", "main"] + [f"per_block_{l}" for l in range(1, n_blocks + 1)])
+        writer.writerow(["step", "total", "main"] + [f"per_block_{l}" for l in range(1, n_blocks + 1)])
+        writer.writerows(kept)
 
     def save(step: int) -> None:
         if checkpoint_path is None:
@@ -257,8 +262,8 @@ def train(
         for step in range(start_step, cfg.steps):
             x_np, y_np = _batch(corpus, cfg, step, dtype, model.config.channels)
             x = Node(x_np)
-            final, probes = netmodel.forward_nodes(model, x, want_probes=True)
-            total, report = cost_graph(final, probes, y_np, cfg.alpha, cfg.sum_excludes_final)
+            _, probes = netmodel.forward_nodes(model, x, want_probes=True)
+            total, report = cost_graph(probes, y_np, cfg.alpha, cfg.sum_excludes_final)
             if not math.isfinite(report.total):
                 raise TrainingDiverged(f"cost became {report.total} at step {step}")
             diffcore.zero_grads(node for _, node in params)
@@ -270,7 +275,8 @@ def train(
             if print_every and (step + 1) % print_every == 0:
                 blocks = " ".join(f"{c:.4f}" for c in report.per_block)
                 print(f"step {step + 1}/{cfg.steps} total {report.total:.5f} main {report.main:.5f} blocks [{blocks}]")
-            if cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
+            # the last step's checkpoint is the final save below
+            if cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0 and step + 1 < cfg.steps:
                 save(step + 1)
         save(cfg.steps)
     finally:

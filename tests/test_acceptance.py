@@ -116,8 +116,8 @@ def test_c1_gradient_fidelity():
             return dc.mse(final, yv)
 
         def progressive_loss():
-            final, probes = nm.forward_nodes(model, dc.Node(xv), want_probes=True)
-            total, _ = obj.cost_graph(final, probes, yv, alpha=0.1)
+            _, probes = nm.forward_nodes(model, dc.Node(xv), want_probes=True)
+            total, _ = obj.cost_graph(probes, yv, alpha=0.1)
             return total
 
         margin = dc.kink_margin(progressive_loss())

@@ -147,6 +147,12 @@ class TestTrain:
         resumed = (tmp_path / "resumed" / "checkpoint.bin").read_bytes()
         assert straight == resumed
 
+        straight_log = (tmp_path / "straight" / "train_log.csv").read_text().splitlines()
+        resumed_log = (tmp_path / "resumed" / "train_log.csv").read_text().splitlines()
+        assert resumed_log[0] == straight_log[0] == "step,total,main,per_block_1,per_block_2"
+        assert [row.split(",")[0] for row in resumed_log[1:]] == ["3", "4", "5"]
+        assert resumed_log[1:] == straight_log[4:]
+
 
 class TestEnhance:
     def test_enhance_and_probes(self, trained_run, synth_dir, tmp_path):
@@ -174,6 +180,18 @@ class TestEnhance:
         assert np.array_equal(enhanced_full.samples, enhanced_trunc.samples)
         out, trace = nm.forward(model, fe.assemble_features(noisy)[0], True)
         assert np.array_equal(trace[len(trace) - 1].frames, out.frames)
+
+    def test_truncated_checkpoint_exits_1(self, trained_run, synth_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((trained_run / "run" / "checkpoint.bin").read_bytes()[:40])
+        code = main([
+            "enhance", "--checkpoint", str(cut),
+            "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"), "--out", str(tmp_path / "x.wav"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(cut) in err
+        assert "Traceback" not in err
 
     def test_bad_blocks_rejected(self, trained_run, synth_dir, tmp_path):
         assert main([

@@ -82,6 +82,15 @@ class TestConv1d:
         with pytest.raises(ValueError, match="channels"):
             dc.conv1d(x, w, b)
 
+    def test_input_shorter_than_kernel_rejected(self):
+        with pytest.raises(ValueError, match="too few"):
+            dc.conv1d(
+                dc.constant(np.zeros((1, 2))),
+                dc.parameter(np.zeros((1, 1, 3))),
+                dc.parameter(np.zeros(1)),
+                padding=0,
+            )
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             dc.conv1d(
@@ -214,6 +223,20 @@ class TestGradCheck:
             return dc.mse(dc.conv1d(dc.constant(x), w, b), target)
 
         assert dc.grad_check(loss_fn, [w, b]) < 1e-6
+
+    @pytest.mark.parametrize("padding", [None, 0, 2])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_conv_input_gradient(self, batch, padding):
+        rng = np.random.default_rng(16)
+        x = dc.parameter(rng.standard_normal(batch + (2, 9)))
+        w = dc.parameter(rng.standard_normal((3, 2, 3)) * 0.4)
+        b = dc.parameter(rng.standard_normal(3) * 0.1)
+        target = rng.standard_normal(dc.conv1d(x, w, b, padding).shape)
+
+        def loss_fn():
+            return dc.mse(dc.conv1d(x, w, b, padding), target)
+
+        assert dc.grad_check(loss_fn, [x, w, b]) < 1e-6
 
     def test_prelu_away_from_kink(self):
         rng = np.random.default_rng(11)

@@ -213,6 +213,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="CCRN01"):
             nm.load_checkpoint(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        model = nm.build_model(nm.ModelConfig(blocks=1, channels=4, input_dim=6), seed=7)
+        full = tmp_path / "full.bin"
+        nm.save_checkpoint(full, model)
+        data = full.read_bytes()
+        for size in range(len(data)):
+            # a new file per cut: rewriting one file in place can cost a flush each time
+            path = tmp_path / f"cut{size}.bin"
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=path.name):
+                nm.load_checkpoint(path)
+
     def test_layout_starts_with_magic(self, tmp_path):
         model = nm.build_model(tiny_config(), seed=7)
         path = tmp_path / "model.bin"

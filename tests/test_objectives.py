@@ -110,7 +110,7 @@ class TestProgressiveCost:
         rng = np.random.default_rng(46)
         y = rng.standard_normal((4, 10))
         probes = [dc.parameter(rng.standard_normal((4, 10))) for _ in range(3)]
-        total, report = obj.cost_graph(probes[-1], probes, y, alpha=0.1)
+        total, report = obj.cost_graph(probes, y, alpha=0.1)
         want = obj.progressive_cost(y.T, [p.value.T for p in probes], alpha=0.1)
         assert abs(float(total.value) - want.total) < 1e-12
         assert abs(report.total - want.total) < 1e-12
@@ -123,8 +123,8 @@ class TestProgressiveCost:
         y = rng.standard_normal((8, 12))
 
         def loss_fn():
-            final, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
-            total, _ = obj.cost_graph(final, probes, y, alpha=0.1)
+            _, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
+            total, _ = obj.cost_graph(probes, y, alpha=0.1)
             return total
 
         assert dc.kink_margin(loss_fn()) > 1e-3
@@ -295,17 +295,35 @@ class TestTrain:
         full_cfg = small_train_config(steps=6)
         half_cfg = small_train_config(steps=3)
 
+        log = tmp_path / "log.csv"
         straight = nm.build_model(config, seed=5)
-        obj.train(straight, small_corpus, full_cfg, checkpoint_path=tmp_path / "straight.bin")
+        obj.train(straight, small_corpus, full_cfg, checkpoint_path=tmp_path / "straight.bin", log_path=log)
+        straight_log = log.read_text()
 
         half = nm.build_model(config, seed=5)
         obj.train(half, small_corpus, half_cfg, checkpoint_path=tmp_path / "half.bin")
         resumed, extra = nm.load_checkpoint(tmp_path / "half.bin")
         state, start = obj.resume_state(extra)
+        # resuming onto the straight run's log drops its rows from step 3 on
         obj.train(resumed, small_corpus, full_cfg, opt_state=state, start_step=start,
-                  checkpoint_path=tmp_path / "resumed.bin")
+                  checkpoint_path=tmp_path / "resumed.bin", log_path=log)
 
         assert (tmp_path / "straight.bin").read_bytes() == (tmp_path / "resumed.bin").read_bytes()
+        assert log.read_text() == straight_log
+
+    def test_last_checkpoint_saved_once(self, small_corpus, tmp_path, monkeypatch):
+        saved_steps = []
+        save = nm.save_checkpoint
+
+        def counting_save(path, model, extra=None):
+            saved_steps.append(int(extra["train.step"][0]))
+            save(path, model, extra)
+
+        monkeypatch.setattr(nm, "save_checkpoint", counting_save)
+        model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=2)
+        cfg = small_train_config(steps=4, checkpoint_interval=2)
+        obj.train(model, small_corpus, cfg, checkpoint_path=tmp_path / "ck.bin")
+        assert saved_steps == [2, 4]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts(self, small_corpus, tmp_path):
