@@ -7,11 +7,13 @@ deterministic backward pass, and finite-difference gradient checking.
 Arrays are kept in whatever float dtype they enter with: training runs in
 float32 (matching the checkpoint wire format), gradient checks in float64.
 Graphs are single-threaded; parameter values are treated as immutable
-during a forward/backward pass.
+during a forward/backward pass. Inside ``no_grad()`` ops build no graph,
+for inference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +24,23 @@ import numpy as np
 Array = np.ndarray
 
 _node_ids = itertools.count()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inference block: nodes made inside keep no parents and no backward closure.
+
+    Nothing computed inside can be backpropagated, and every intermediate
+    value is freed as soon as no later op needs it. The previous mode is
+    restored on exit, also when the block raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Node:
@@ -29,8 +48,9 @@ class Node:
 
     Leaves wrap parameters (``requires_grad=True``) or constants; interior
     nodes remember their parents and a closure that routes the incoming
-    output gradient back to them. Gradients accumulate until reset, so
-    running ``backprop`` twice on the same graph doubles them.
+    output gradient back to them (outside ``no_grad`` only). Gradients
+    accumulate until reset, so running ``backprop`` twice on the same graph
+    doubles them.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "op", "_backward", "_id")
@@ -44,6 +64,8 @@ class Node:
         requires_grad: bool = False,
         op: str = "leaf",
     ):
+        if not _grad_enabled:
+            parents, backward = (), None
         self.value = np.asarray(value)
         self.grad: Array | None = None
         self.parents = parents
@@ -109,19 +131,6 @@ def batchnorm_state(channels: int, dtype=np.float32, momentum: float = 0.1, eps:
         momentum=momentum,
         eps=eps,
     )
-
-
-def init_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int, dtype=np.float32) -> tuple[Node, Node]:
-    """Convolution init: weights uniform in +-sqrt(1/(C_in*k)), bias zero."""
-    bound = math.sqrt(1.0 / (c_in * k))
-    weight = rng.uniform(-bound, bound, size=(c_out, c_in, k)).astype(dtype)
-    bias = np.zeros(c_out, dtype=dtype)
-    return parameter(weight), parameter(bias)
-
-
-def init_prelu(channels: int, dtype=np.float32) -> Node:
-    """Per-channel PReLU slopes, initialized to 0.25."""
-    return parameter(np.full(channels, 0.25, dtype=dtype))
 
 
 def _as_batched(a: Array, what: str) -> tuple[Array, bool]:

@@ -11,6 +11,8 @@ binary checkpoint format (magic ``CCRN01``).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Sequence
@@ -107,31 +109,44 @@ class ProbeTrace:
         return self.outputs[i]
 
 
-def _init_conv(rng, c_out: int, c_in: int, kernel: int, dtype) -> ConvParams:
-    weight, bias = diffcore.init_conv(rng, c_out, c_in, kernel, dtype)
-    return ConvParams(weight, bias, (kernel - 1) // 2)
+# initial value of each array by the last part of its name; conv weights are drawn
+_INIT_FILL = {"bias": 0.0, "gamma": 1.0, "beta": 0.0, "slope": 0.25, "running_mean": 0.0, "running_var": 1.0}
 
 
-def _init_stage(rng, c_in: int, c_out: int | None, kernel: int, dtype) -> StageParams:
-    bn = diffcore.batchnorm_state(c_in, dtype)
-    slope = diffcore.init_prelu(c_in, dtype)
-    conv = None if c_out is None else _init_conv(rng, c_out, c_in, kernel, dtype)
-    return StageParams(bn, slope, conv)
+def _assemble(config: ModelConfig, array) -> ModelParams:
+    """The structure ``config`` implies, holding ``array(name, shape)`` for each named array.
 
-
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Deterministically initialized parameters for the requested kind."""
-    rng = np.random.default_rng(seed)
+    Names are those of ``named_arrays``. Conv weights are requested in a
+    fixed order (first layer, then per block stage1, stage2, out_res,
+    out_state), which ``build_model``'s seeded draws depend on.
+    """
     k = config.kernel
+
+    def conv(prefix: str, c_out: int, c_in: int) -> ConvParams:
+        weight = diffcore.parameter(array(f"{prefix}.weight", (c_out, c_in, k)))
+        bias = diffcore.parameter(array(f"{prefix}.bias", (c_out,)))
+        return ConvParams(weight, bias, (k - 1) // 2)
+
+    def stage(prefix: str, c_in: int, c_out: int | None) -> StageParams:
+        bn = BatchNormState(
+            gamma=diffcore.parameter(array(f"{prefix}.bn.gamma", (c_in,))),
+            beta=diffcore.parameter(array(f"{prefix}.bn.beta", (c_in,))),
+            running_mean=array(f"{prefix}.bn.running_mean", (c_in,)),
+            running_var=array(f"{prefix}.bn.running_var", (c_in,)),
+        )
+        slope = diffcore.parameter(array(f"{prefix}.slope", (c_in,)))
+        return StageParams(bn, slope, None if c_out is None else conv(f"{prefix}.conv", c_out, c_in))
+
     c_res = config.channels
-    first = _init_conv(rng, c_res, config.input_dim, k, dtype)
+    first = conv("first", c_res, config.input_dim)
     blocks: list[BlockParams] = []
     for l in range(1, config.blocks + 1):
+        prefix = f"block{l:02d}"
         if config.kind == KIND_CCRN:
             blocks.append(
                 BlockParams(
-                    stage1=_init_stage(rng, c_res, c_res, k, dtype),
-                    stage2=_init_stage(rng, c_res, c_res, k, dtype),
+                    stage1=stage(f"{prefix}.stage1", c_res, c_res),
+                    stage2=stage(f"{prefix}.stage2", c_res, c_res),
                 )
             )
         else:
@@ -139,13 +154,32 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
             c_inner = config.state_width(l)
             blocks.append(
                 BlockParams(
-                    stage1=_init_stage(rng, c_res + c_prev, c_inner, k, dtype),
-                    stage2=_init_stage(rng, c_inner, None, k, dtype),
-                    out_res=_init_conv(rng, c_res, c_inner, k, dtype),
-                    out_state=_init_conv(rng, c_inner, c_inner, k, dtype),
+                    stage1=stage(f"{prefix}.stage1", c_res + c_prev, c_inner),
+                    stage2=stage(f"{prefix}.stage2", c_inner, None),
+                    out_res=conv(f"{prefix}.out_res", c_res, c_inner),
+                    out_state=conv(f"{prefix}.out_state", c_inner, c_inner),
                 )
             )
     return ModelParams(config, first, blocks)
+
+
+def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Deterministically initialized parameters for the requested kind.
+
+    Conv weights are uniform in +-sqrt(1/(C_in*k)); biases and BN shifts
+    start at 0, BN scales at 1, PReLU slopes at 0.25, and the running
+    statistics at the identity.
+    """
+    rng = np.random.default_rng(seed)
+
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        role = name.rsplit(".", 1)[1]
+        if role == "weight":
+            bound = math.sqrt(1.0 / (shape[1] * shape[2]))
+            return rng.uniform(-bound, bound, size=shape).astype(dtype)
+        return np.full(shape, _INIT_FILL[role], dtype=dtype)
+
+    return _assemble(config, init)
 
 
 def _apply_conv(conv: ConvParams, x: Node) -> Node:
@@ -192,12 +226,15 @@ def forward(
 ) -> tuple[LogSpectrogram, ProbeTrace | None]:
     """Enhance one feature sequence; optionally return every block's probe.
 
-    Reduced-width models work in a folded spectral domain internally;
-    outputs and probes are always expanded back to the full 512 bins.
+    Inference only: the pass builds no graph (``diffcore.no_grad``), so
+    train through ``forward_nodes``. Reduced-width models work in a folded
+    spectral domain internally; outputs and probes are always expanded
+    back to the full 512 bins.
     """
     dtype = model.first_layer.weight.value.dtype
     x = Node(np.ascontiguousarray(feats.frames.T, dtype=dtype))
-    out, probes = forward_nodes(model, x, want_probes)
+    with diffcore.no_grad():
+        out, probes = forward_nodes(model, x, want_probes)
 
     def to_spectrogram(node: Node) -> LogSpectrogram:
         frames = node.value.T
@@ -270,19 +307,13 @@ def parameter_count(model: ModelParams) -> int:
     return sum(node.value.size for _, node in named_parameters(model))
 
 
-def _named_buffers(model: ModelParams) -> list[tuple[str, BatchNormState, str]]:
-    out = []
-    for i, block in enumerate(model.blocks, start=1):
-        for sname, stage in (("stage1", block.stage1), ("stage2", block.stage2)):
-            out.append((f"block{i:02d}.{sname}.bn.running_mean", stage.bn, "running_mean"))
-            out.append((f"block{i:02d}.{sname}.bn.running_var", stage.bn, "running_var"))
-    return out
-
-
 def named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """All persistent arrays: parameters plus BN running statistics."""
     arrays = [(name, node.value) for name, node in named_parameters(model)]
-    arrays.extend((name, getattr(bn, attr)) for name, bn, attr in _named_buffers(model))
+    for i, block in enumerate(model.blocks, start=1):
+        for sname, stage in (("stage1", block.stage1), ("stage2", block.stage2)):
+            arrays.append((f"block{i:02d}.{sname}.bn.running_mean", stage.bn.running_mean))
+            arrays.append((f"block{i:02d}.{sname}.bn.running_var", stage.bn.running_var))
     return arrays
 
 
@@ -299,21 +330,27 @@ def _write_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(fh: BinaryIO, size: int, path) -> bytes:
+def _read_exact(fh: BinaryIO, size: int) -> bytes:
     data = fh.read(size)
     if len(data) != size:
-        raise ValueError(f"{path}: checkpoint is truncated")
+        raise ValueError("checkpoint is truncated")
     return data
 
 
-def _read_array(fh: BinaryIO, path) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-    name = _read_exact(fh, name_len, path).decode("utf-8")
-    (rank,) = struct.unpack("<B", _read_exact(fh, 1, path))
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path))
-    count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4").reshape(dims)
-    return name, data
+def _read_array(fh: BinaryIO, file_size: int) -> tuple[str, np.ndarray]:
+    """One named array, read into a fresh writable float32 buffer."""
+    (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+    name = _read_exact(fh, name_len).decode("utf-8")
+    (rank,) = struct.unpack("<B", _read_exact(fh, 1))
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
+    count = math.prod(dims)
+    # a corrupt dimension must not become a huge allocation
+    if 4 * count > file_size - fh.tell():
+        raise ValueError("checkpoint is truncated")
+    data = np.empty(count, dtype="<f4")
+    if fh.readinto(data) != data.nbytes:
+        raise ValueError("checkpoint is truncated")
+    return name, data.reshape(dims)
 
 
 def save_checkpoint(path, model: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
@@ -340,37 +377,41 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
     """Rebuild a model from a CCRN01 checkpoint.
 
     Returns the model (BN in inference mode) and any arrays in the file
-    that are not model state (e.g. optimizer moments).
+    that are not model state (e.g. optimizer moments). Every array is read
+    once into the buffer the model then holds. A malformed file raises
+    ``ValueError`` naming ``path``: bad magic or kind, a truncated file, a
+    duplicate or missing array, or an array whose shape differs from the
+    one the config implies.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a CCRN01 checkpoint (magic {magic!r})")
-        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1, path))
-        if kind_code not in _KIND_NAMES:
-            raise ValueError(f"{path}: unknown model kind code {kind_code}")
-        blocks, channels, state_step, kernel, input_dim = struct.unpack("<5I", _read_exact(fh, 20, path))
-        config = ModelConfig(_KIND_NAMES[kind_code], blocks, channels, state_step, kernel, input_dim)
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name, arr = _read_array(fh, path)
-            if name in arrays:
-                raise ValueError(f"{path}: duplicate array {name!r}")
-            arrays[name] = arr
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+            if magic != CHECKPOINT_MAGIC:
+                raise ValueError(f"not a CCRN01 checkpoint (magic {magic!r})")
+            (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
+            if kind_code not in _KIND_NAMES:
+                raise ValueError(f"unknown model kind code {kind_code}")
+            blocks, channels, state_step, kernel, input_dim = struct.unpack("<5I", _read_exact(fh, 20))
+            config = ModelConfig(_KIND_NAMES[kind_code], blocks, channels, state_step, kernel, input_dim)
+            (count,) = struct.unpack("<I", _read_exact(fh, 4))
+            file_size = os.fstat(fh.fileno()).st_size
+            arrays: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                name, arr = _read_array(fh, file_size)
+                if name in arrays:
+                    raise ValueError(f"duplicate array {name!r}")
+                arrays[name] = arr
 
-    model = build_model(config, seed=0, dtype=np.float32)
-    for name, node in named_parameters(model):
-        arr = arrays.pop(name, None)
-        if arr is None:
-            raise ValueError(f"{path}: checkpoint is missing array {name!r}")
-        if arr.shape != node.value.shape:
-            raise ValueError(f"{path}: array {name!r} has shape {arr.shape}, expected {node.value.shape}")
-        node.value[...] = arr
-    for name, bn, attr in _named_buffers(model):
-        arr = arrays.pop(name, None)
-        if arr is None:
-            raise ValueError(f"{path}: checkpoint is missing array {name!r}")
-        getattr(bn, attr)[...] = arr
+        def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            arr = arrays.pop(name, None)
+            if arr is None:
+                raise ValueError(f"checkpoint is missing array {name!r}")
+            if arr.shape != shape:
+                raise ValueError(f"array {name!r} has shape {arr.shape}, expected {shape}")
+            return arr
+
+        model = _assemble(config, take)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     set_training(model, False)
     return model, arrays

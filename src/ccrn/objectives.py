@@ -26,6 +26,9 @@ from .diffcore import Node
 from .frontend import FeatureSequence, LogSpectrogram, Waveform
 from .netmodel import ModelParams
 
+# step counters are stored as float32 in checkpoints, which is exact up to here
+MAX_STEPS = 2**24
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -55,6 +58,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= 2**24 (float32 step counters), got {self.steps}")
         if not self.rt60_choices:
             raise ValueError("at least one rt60 value is required")
 
@@ -285,14 +290,28 @@ def train(
     return reports
 
 
+def _step_counter(extra: dict[str, np.ndarray], name: str) -> int:
+    """A stored step counter: one whole number in [0, MAX_STEPS]."""
+    arr = extra[name]
+    if arr.shape != (1,):
+        raise ValueError(f"checkpoint {name} has shape {arr.shape}, expected (1,)")
+    value = float(arr[0])
+    if not (value.is_integer() and 0 <= value <= MAX_STEPS):
+        raise ValueError(f"checkpoint {name} is {value}, expected a whole number in [0, 2**24]")
+    return int(value)
+
+
 def resume_state(extra: dict[str, np.ndarray]) -> tuple[OptimizerState, int]:
-    """Optimizer state and next step index from checkpoint extras."""
+    """Optimizer state and next step index from checkpoint extras.
+
+    The moment arrays are taken over as they are, not copied.
+    """
     if "opt.t" not in extra or "train.step" not in extra:
         raise ValueError("checkpoint carries no optimizer state; it cannot be resumed")
-    state = OptimizerState(t=int(extra["opt.t"][0]))
+    state = OptimizerState(t=_step_counter(extra, "opt.t"))
     for name, arr in extra.items():
         if name.startswith("opt.m."):
-            state.m[name[len("opt.m."):]] = arr.copy()
+            state.m[name[len("opt.m."):]] = arr
         elif name.startswith("opt.v."):
-            state.v[name[len("opt.v."):]] = arr.copy()
-    return state, int(extra["train.step"][0])
+            state.v[name[len("opt.v."):]] = arr
+    return state, _step_counter(extra, "train.step")

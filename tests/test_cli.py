@@ -10,6 +10,18 @@ from ccrn import cli, corpus as cp, frontend as fe, netmodel as nm
 from ccrn.cli import ConfigError, load_config, main, parse_config_text
 
 
+def corrupt_dims_checkpoint(directory, dims):
+    """A 1-block, 4-channel, 6-input checkpoint whose first array claims ``dims``."""
+    path = directory / "corrupt.bin"
+    nm.save_checkpoint(path, nm.build_model(nm.ModelConfig(blocks=1, channels=4, input_dim=6), seed=7))
+    data = bytearray(path.read_bytes())
+    at = data.index(b"first.weight") + len(b"first.weight")
+    assert data[at] == 3  # rank
+    data[at + 1:at + 13] = np.array(dims, dtype="<u4").tobytes()
+    path.write_bytes(bytes(data))
+    return path
+
+
 class TestConfigParsing:
     def test_defaults_match_contract(self):
         config = load_config(None)
@@ -153,6 +165,21 @@ class TestTrain:
         assert [row.split(",")[0] for row in resumed_log[1:]] == ["3", "4", "5"]
         assert resumed_log[1:] == straight_log[4:]
 
+    @pytest.mark.parametrize("counter", ["opt.t", "train.step"])
+    @pytest.mark.parametrize("value", [np.inf, -1.0, 2.5])
+    def test_corrupt_step_counter_exits_1(self, trained_run, tmp_path, capsys, counter, value):
+        model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")
+        extra[counter] = np.array([value], dtype=np.float32)
+        corrupt = tmp_path / "corrupt.bin"
+        nm.save_checkpoint(corrupt, model, extra)
+        code = main([
+            "train", "--config", str(trained_run / "train.cfg"), "--out", str(tmp_path / "resumed"),
+            "--resume", str(corrupt),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: checkpoint {counter} is ") and "Traceback" not in err
+
 
 class TestEnhance:
     def test_enhance_and_probes(self, trained_run, synth_dir, tmp_path):
@@ -192,6 +219,17 @@ class TestEnhance:
         assert code == 1
         assert err.startswith("error: ") and str(cut) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dims", [(4, 6, 2**30), (2**32 - 1,) * 3])
+    def test_corrupt_dims_exit_1(self, synth_dir, tmp_path, capsys, dims):
+        checkpoint = corrupt_dims_checkpoint(tmp_path, dims)
+        code = main([
+            "enhance", "--checkpoint", str(checkpoint),
+            "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"), "--out", str(tmp_path / "x.wav"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {checkpoint}: checkpoint is truncated\n"
 
     def test_bad_blocks_rejected(self, trained_run, synth_dir, tmp_path):
         assert main([

@@ -211,6 +211,60 @@ class TestBackprop:
             assert np.array_equal(a, b_)
 
 
+class TestNoGrad:
+    @staticmethod
+    def small_graph(p, b, s):
+        x = dc.constant(np.linspace(-1.0, 1.0, 24).reshape(2, 12))
+        return dc.mse(dc.prelu(dc.conv1d(x, p, b), s), np.zeros((2, 12)))
+
+    @staticmethod
+    def params():
+        w = np.random.default_rng(10).standard_normal((2, 2, 3))
+        return dc.parameter(w), dc.parameter(np.zeros(2)), dc.parameter(np.full(2, 0.25))
+
+    def reference_grads(self):
+        params = self.params()
+        dc.backprop(self.small_graph(*params))
+        return [p.grad.copy() for p in params]
+
+    def test_ops_keep_no_graph(self):
+        p, b, s = params = self.params()
+        bn = dc.batchnorm_state(2, dtype=np.float64)
+        with dc.no_grad():
+            conv = dc.conv1d(dc.constant(np.ones((2, 12))), p, b)
+            ops = [conv, dc.batchnorm1d(conv, bn), dc.prelu(conv, s), dc.add(conv, conv),
+                   dc.concat_channels(conv, conv), dc.scale(conv, 2.0)]
+            ops += [dc.mse(node, np.zeros(node.shape)) for node in ops]
+            ops.append(dc.add_scalars(ops[-6:]))
+            dc.backprop(ops[-1])
+        for node in ops:
+            assert node.parents == () and node._backward is None, node.op
+        assert all(q.grad is None for q in (*params, bn.gamma, bn.beta))
+
+    def test_values_match_graph_mode(self):
+        params = self.params()
+        with dc.no_grad():
+            inside = self.small_graph(*params).value
+        assert np.array_equal(inside, self.small_graph(*params).value)
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_graph_mode_restored_on_exit(self, raises):
+        expected = self.reference_grads()
+        if raises:
+            with pytest.raises(RuntimeError):
+                with dc.no_grad():
+                    raise RuntimeError("inside")
+        else:
+            with dc.no_grad():
+                pass
+        params = self.params()
+        loss = self.small_graph(*params)
+        assert loss.parents and loss._backward is not None
+        dc.backprop(loss)
+        for p, g in zip(params, expected):
+            assert np.array_equal(p.grad, g)
+
+
 class TestGradCheck:
     def test_linear_layer_mse(self):
         rng = np.random.default_rng(10)

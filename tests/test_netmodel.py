@@ -142,6 +142,33 @@ class TestForward:
         # folded-domain output expands by bin groups of 4
         assert np.array_equal(out.frames[:, 0], out.frames[:, 3])
 
+    def test_public_forward_builds_no_graph(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        model = nm.build_model(nm.ModelConfig(blocks=3, channels=128), seed=1)
+        nm.set_training(model, False)
+        feats = tiny_features(rng)
+        built = []
+        forward_nodes = nm.forward_nodes
+
+        def recording(*args, **kwargs):
+            final, probes = forward_nodes(*args, **kwargs)
+            built.extend([final, *probes])
+            return final, probes
+
+        monkeypatch.setattr(nm, "forward_nodes", recording)
+        out, trace = nm.forward(model, feats, want_probes=True)
+        monkeypatch.undo()
+        assert built and all(n.parents == () and n._backward is None for n in built)
+        # inference mode changes no value: bit-exact with the graph-building pass
+        x = dc.Node(np.ascontiguousarray(feats.frames.T, dtype=np.float32))
+        graph_out, _ = nm.forward_nodes(model, x)
+        assert graph_out._backward is not None
+        assert np.array_equal(out.frames, nm.forward(model, feats)[0].frames)
+        assert np.array_equal(out.frames[:, ::4].T, graph_out.value.astype(np.float64))
+        for depth in (1, 2, 3):
+            truncated, _ = nm.forward(nm.truncate(model, depth), feats)
+            assert np.array_equal(truncated.frames, trace[depth - 1].frames)
+
 
 class TestTruncate:
     @pytest.mark.parametrize("kind", ["ccrn", "ccrn-state"])
@@ -224,6 +251,32 @@ class TestCheckpoint:
             path.write_bytes(data[:size])
             with pytest.raises(ValueError, match=path.name):
                 nm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["ccrn", "ccrn-state"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, kind):
+        model = nm.build_model(tiny_config(kind), seed=8)
+        path = tmp_path / "model.bin"
+        nm.save_checkpoint(path, model)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_checkpoint must not initialize a model")
+
+        monkeypatch.setattr(nm.np.random, "default_rng", forbidden)
+        monkeypatch.setattr(nm, "build_model", forbidden)
+        loaded, _ = nm.load_checkpoint(path)
+        for (name, saved), (_, arr) in zip(nm.named_arrays(model), nm.named_arrays(loaded)):
+            assert arr.dtype == np.float32 and arr.flags.writeable and arr.flags.c_contiguous, name
+            assert np.array_equal(arr, saved), name
+
+    @pytest.mark.parametrize("attr", ["running_mean", "running_var"])
+    def test_bn_buffer_shape_checked(self, tmp_path, attr):
+        model = nm.build_model(tiny_config(), seed=7)
+        # a (1,) statistic would broadcast over every channel if written in place
+        setattr(model.blocks[1].stage2.bn, attr, np.ones(1, dtype=np.float32))
+        path = tmp_path / "model.bin"
+        nm.save_checkpoint(path, model)
+        with pytest.raises(ValueError, match=rf"model.bin.*block02\.stage2\.bn\.{attr}.*\(1,\)"):
+            nm.load_checkpoint(path)
 
     def test_layout_starts_with_magic(self, tmp_path):
         model = nm.build_model(tiny_config(), seed=7)

@@ -325,6 +325,30 @@ class TestTrain:
         obj.train(model, small_corpus, cfg, checkpoint_path=tmp_path / "ck.bin")
         assert saved_steps == [2, 4]
 
+    def test_step_counters_validated_on_resume(self):
+        moments = {"opt.m.w": np.ones(2, dtype=np.float32), "opt.v.w": np.ones(2, dtype=np.float32)}
+
+        def extra(t, step):
+            return {**moments, "opt.t": np.array(t, dtype=np.float32), "train.step": np.array(step, dtype=np.float32)}
+
+        state, start = obj.resume_state(extra([2.0**24], [0.0]))
+        assert (state.t, start) == (2**24, 0)
+        assert state.m["w"] is moments["opt.m.w"] and state.v["w"] is moments["opt.v.w"]
+        bad = [
+            ([2.0**24 + 2], [1.0], "opt.t"),
+            ([1.0, 2.0], [1.0], "opt.t"),
+            ([1.0], [np.nan], "train.step"),
+            ([1.0], 1.0, "train.step"),
+        ]
+        for t, step, name in bad:
+            with pytest.raises(ValueError, match=name):
+                obj.resume_state(extra(t, step))
+
+    def test_steps_capped_at_exact_float32_counters(self):
+        assert obj.TrainConfig(steps=2**24).steps == 2**24
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            obj.TrainConfig(steps=2**24 + 1)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts(self, small_corpus, tmp_path):
         model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=6)
