@@ -278,9 +278,22 @@ def write_manifest(path, rows: list[tuple[str, str, float]]) -> None:
 
 
 def read_manifest(path) -> list[tuple[str, str, float]]:
+    """Rows of a corpus manifest; a malformed row is a ValueError naming path:line."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "path", "duration_s"]:
             raise ValueError(f"{path}: not a corpus manifest (header {header})")
-        return [(row[0], row[1], float(row[2])) for row in reader]
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected 3 fields (id,path,duration_s), got {len(row)}")
+            try:
+                duration = float(row[2])
+            except ValueError:
+                duration = math.nan
+            if not (math.isfinite(duration) and duration >= 0.0):
+                raise ValueError(f"{where}: duration_s must be a finite number >= 0, got {row[2]!r}")
+            rows.append((row[0], row[1], duration))
+    return rows

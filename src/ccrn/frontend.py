@@ -100,6 +100,17 @@ def _window_samples(win_ms: float) -> int:
     return int(round(win_ms * SAMPLE_RATE / 1000.0))
 
 
+def frame_view(x: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Read-only T x ``win`` strided view of ``x`` at a ``hop``-sample step.
+
+    T = floor((len - win) / hop) + 1; rejects signals shorter than one
+    window. Every framing in ccrn goes through this view.
+    """
+    if x.size < win:
+        raise ValueError(f"signal of {x.size} samples is shorter than one {win}-sample window")
+    return np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
+
+
 def frame_signal(w: Waveform, win_ms: float, hop_ms: float = HOP_MS) -> np.ndarray:
     """Slice a waveform into Hamming-windowed frames.
 
@@ -107,13 +118,42 @@ def frame_signal(w: Waveform, win_ms: float, hop_ms: float = HOP_MS) -> np.ndarr
     signals shorter than one window.
     """
     win = _window_samples(win_ms)
-    hop = _window_samples(hop_ms)
-    x = w.samples
-    if x.size < win:
-        raise ValueError(f"signal of {x.size} samples is shorter than one {win}-sample window")
-    n_frames = (x.size - win) // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[:: hop][:n_frames]
+    frames = frame_view(w.samples, win, _window_samples(hop_ms))
     return frames * _hamming_periodic(win)[None, :]
+
+
+def _fft_size(win: int) -> int:
+    """FFT length of a ``win``-sample frame: the next power of two, at least 512."""
+    p = FFT_BINS
+    while p < win:
+        p *= 2
+    return p
+
+
+def _analysis(w: Waveform, win_ms: float) -> np.ndarray:
+    """rfft of the Hamming-windowed frames of one stream (10 ms hop).
+
+    The windowed frames are written straight into a zero-padded
+    T x nfft buffer, so the one transform needs no further copy.
+    """
+    win = _window_samples(win_ms)
+    frames = frame_view(w.samples, win, _window_samples(HOP_MS))
+    buf = np.zeros((frames.shape[0], _fft_size(win)))
+    np.multiply(frames, _hamming_periodic(win), out=buf[:, :win])
+    return np.fft.rfft(buf, axis=1)
+
+
+def _log_magnitude(magnitude: np.ndarray, nfft: int) -> np.ndarray:
+    """All ``nfft`` log-magnitude bins from the ``nfft // 2 + 1`` rfft bins.
+
+    A real frame's spectrum is Hermitian, so bins nfft//2+1 .. nfft-1 are
+    the mirror of bins (nfft-1)//2 .. 1. Magnitudes are floored at 1e-10.
+    """
+    half = magnitude.shape[1]
+    out = np.empty((magnitude.shape[0], nfft))
+    np.log(np.maximum(magnitude, MAG_FLOOR), out=out[:, :half])
+    out[:, half:] = out[:, (nfft - 1) // 2:0:-1]
+    return out
 
 
 def log_spectrum(frames: np.ndarray, nfft: int = FFT_BINS) -> LogSpectrogram:
@@ -125,15 +165,8 @@ def log_spectrum(frames: np.ndarray, nfft: int = FFT_BINS) -> LogSpectrogram:
     frames = np.asarray(frames)
     if frames.shape[1] > nfft:
         raise ValueError(f"frame length {frames.shape[1]} exceeds FFT size {nfft}")
-    mag = np.abs(np.fft.fft(frames, n=nfft, axis=1))
-    return LogSpectrogram(np.log(np.maximum(mag, MAG_FLOOR)))
-
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+    magnitude = np.abs(np.fft.rfft(frames, n=nfft, axis=1))
+    return LogSpectrogram(_log_magnitude(magnitude, nfft))
 
 
 @lru_cache(maxsize=None)
@@ -166,17 +199,18 @@ def mel_filter_centers(n_mels: int) -> np.ndarray:
     return 700.0 * (10.0 ** (mel_points[1:-1] / 2595.0) - 1.0)
 
 
-def _mel_from_power(power: np.ndarray, n_mels: int, nfft: int) -> np.ndarray:
-    energies = power @ _mel_filterbank(n_mels, nfft).T
+def _mel_from_power(power: np.ndarray, n_mels: int) -> np.ndarray:
+    """Log mel energies of T x (nfft/2 + 1) rfft power spectra."""
+    energies = power @ _mel_filterbank(n_mels, 2 * (power.shape[1] - 1)).T
     return np.log(np.maximum(energies, MAG_FLOOR))
 
 
 def mel_features(frames: np.ndarray, n_mels: int) -> np.ndarray:
     """Log mel-filterbank energies of windowed frames (floored at 1e-10)."""
     frames = np.asarray(frames)
-    nfft = max(FFT_BINS, _next_pow2(frames.shape[1]))
+    nfft = _fft_size(frames.shape[1])
     spectrum = np.fft.rfft(frames, n=nfft, axis=1)
-    return _mel_from_power(spectrum.real**2 + spectrum.imag**2, n_mels, nfft)
+    return _mel_from_power(spectrum.real**2 + spectrum.imag**2, n_mels)
 
 
 def cepstral_features(log_mel: np.ndarray, n_ceps: int | None = None) -> np.ndarray:
@@ -205,17 +239,16 @@ def assemble_features(
         raise ValueError("signal shorter than the 75 ms analysis window")
 
     streams: list[np.ndarray] = []
-    frames25 = frame_signal(w, 25.0)
-    spectrum25 = np.fft.fft(frames25, n=FFT_BINS, axis=1)
+    spectrum25 = _analysis(w, 25.0)
     magnitude25 = np.abs(spectrum25)
-    streams.append(np.log(np.maximum(magnitude25, MAG_FLOOR)))
-    half = FFT_BINS // 2 + 1
+    streams.append(_log_magnitude(magnitude25, FFT_BINS))
     for n_mels, win_ms in MEL_STREAMS:
         if win_ms == 25.0:
             # the 25 ms power spectrum is already on hand from the log path
-            fbank = _mel_from_power(magnitude25[:, :half] ** 2, n_mels, FFT_BINS)
+            fbank = _mel_from_power(magnitude25**2, n_mels)
         else:
-            fbank = mel_features(frame_signal(w, win_ms), n_mels)
+            spectrum = _analysis(w, win_ms)
+            fbank = _mel_from_power(spectrum.real**2 + spectrum.imag**2, n_mels)
         streams.append(fbank)
         streams.append(cepstral_features(fbank))
 
@@ -232,14 +265,14 @@ def assemble_features(
     else:
         scale = np.ones(FEATURE_DIM)
 
-    phase = np.angle(spectrum25[:n_frames, : FFT_BINS // 2 + 1])
+    phase = np.angle(spectrum25[:n_frames])
     phase = np.where(phase <= -np.pi, np.pi, phase)
     return FeatureSequence(feats, scale), PhaseSpectrogram(phase)
 
 
 def target_spectrum(w: Waveform) -> LogSpectrogram:
     """Raw (un-normalized) 512-dim log spectrum, the regression target."""
-    return log_spectrum(frame_signal(w, 25.0))
+    return LogSpectrogram(_log_magnitude(np.abs(_analysis(w, 25.0)), FFT_BINS))
 
 
 def fold_spectrum(frames: np.ndarray, n_bands: int) -> np.ndarray:
@@ -264,6 +297,19 @@ def unfold_spectrum(frames: np.ndarray, n_bins: int = FFT_BINS) -> np.ndarray:
     return np.repeat(frames, n_bins // frames.shape[1], axis=1)
 
 
+def _overlap_add(slabs: np.ndarray) -> np.ndarray:
+    """Sum F x K x hop frame slabs, frame f's slab k at output slab f + k.
+
+    Earlier frames are added first at every sample, as a per-frame loop
+    would add them.
+    """
+    n_frames, n_slabs, hop = slabs.shape
+    out = np.zeros((n_frames + n_slabs - 1, hop))
+    for k in reversed(range(n_slabs)):
+        out[k:k + n_frames] += slabs[:, k]
+    return out.ravel()
+
+
 def reconstruct(enh: LogSpectrogram, phase: PhaseSpectrogram, length: int) -> Waveform:
     """Waveform from an enhanced log spectrum and a phase spectrogram.
 
@@ -281,25 +327,22 @@ def reconstruct(enh: LogSpectrogram, phase: PhaseSpectrogram, length: int) -> Wa
     mirror = (FFT_BINS - np.arange(half)) % FFT_BINS
     folded = 0.5 * (mags[:, :half] + mags[:, mirror])
 
-    spectrum = folded * np.exp(1j * phase.frames)
-    full = np.empty((enh.frames.shape[0], FFT_BINS), dtype=complex)
-    full[:, :half] = spectrum
-    full[:, half:] = np.conj(spectrum[:, -2:0:-1])
-
     win = _window_samples(25.0)
     hop = _window_samples(HOP_MS)
-    frames_t = np.fft.ifft(full, axis=1).real[:, :win]
+    frames_t = np.fft.irfft(folded * np.exp(1j * phase.frames), n=FFT_BINS, axis=1)
 
-    window = _hamming_periodic(win)
+    # each frame spans n_slabs hop-long slabs; slab k of frame f lands on
+    # output slab f + k, so the overlap-add is one slab add per k
+    n_slabs = -(-win // hop)
     n_frames = frames_t.shape[0]
+    window = np.zeros(n_slabs * hop)
+    window[:win] = _hamming_periodic(win)
+    weighted = np.zeros((n_frames, n_slabs * hop))
+    np.multiply(frames_t[:, :win], window[:win], out=weighted[:, :win])
+    out = _overlap_add(weighted.reshape(n_frames, n_slabs, hop))
+    wsum = _overlap_add(np.broadcast_to((window * window).reshape(n_slabs, hop), (n_frames, n_slabs, hop)))
     total = (n_frames - 1) * hop + win
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    weighted = frames_t * window[None, :]
-    for f in range(n_frames):
-        start = f * hop
-        out[start:start + win] += weighted[f]
-        wsum[start:start + win] += window * window
+    out, wsum = out[:total], wsum[:total]
     out = np.where(wsum > 1e-8, out / np.maximum(wsum, 1e-8), 0.0)
 
     if length <= total:

@@ -167,7 +167,11 @@ def adamw_step(params: Sequence[tuple[str, Node]], state: OptimizerState, cfg: T
 
 
 def sample_example(
-    corpus: Sequence[Waveform], cfg: TrainConfig, index: int
+    corpus: Sequence[Waveform],
+    cfg: TrainConfig,
+    index: int,
+    *,
+    targets: dict[int, LogSpectrogram] | None = None,
 ) -> tuple[FeatureSequence, LogSpectrogram]:
     """Deterministic (noisy features, clean target) pair for one step index.
 
@@ -175,12 +179,20 @@ def sample_example(
     whole clean waveform, and cuts the same contiguous ``seq_len``-frame
     span from the noisy features and the clean log spectrum. Utterances too
     short for the span are skipped with a deterministic redraw.
+
+    ``targets`` memoizes each utterance's full (read-only) clean log
+    spectrum by corpus index, so a caller drawing many examples from one
+    fixed corpus computes each target once; it costs one T x 512 float64
+    array per distinct utterance.
     """
     if not corpus:
         raise ValueError("empty corpus")
+    if targets is None:
+        targets = {}
     for attempt in range(4 * len(corpus) + 4):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index, attempt)))
-        clean = corpus[int(rng.integers(len(corpus)))]
+        pick = int(rng.integers(len(corpus)))
+        clean = corpus[pick]
         rt60 = float(rng.choice(np.asarray(cfg.rt60_choices, dtype=float)))
         distance_drr = float(rng.choice(np.asarray(cfg.drr_choices, dtype=float)))
         rir_seed, noise_seed = (int(s) for s in rng.integers(2**31, size=2))
@@ -195,7 +207,10 @@ def sample_example(
         n_frames = feats.frames.shape[0]
         if n_frames < cfg.seq_len:
             continue
-        target = frontend.target_spectrum(clean)
+        if pick not in targets:
+            targets[pick] = frontend.target_spectrum(clean)
+            targets[pick].frames.flags.writeable = False
+        target = targets[pick]
         start = int(rng.integers(n_frames - cfg.seq_len + 1))
         stop = start + cfg.seq_len
         return (
@@ -205,10 +220,12 @@ def sample_example(
     raise ValueError(f"no utterance long enough for {cfg.seq_len} frames")
 
 
-def _batch(corpus, cfg: TrainConfig, step: int, dtype, n_bands: int) -> tuple[np.ndarray, np.ndarray]:
+def _batch(
+    corpus, cfg: TrainConfig, step: int, dtype, n_bands: int, clean_targets: dict[int, LogSpectrogram] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     feats, targets = [], []
     for j in range(cfg.batch_size):
-        f, y = sample_example(corpus, cfg, step * cfg.batch_size + j)
+        f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets)
         target = y.frames if n_bands == y.frames.shape[1] else frontend.fold_spectrum(y.frames, n_bands)
         feats.append(f.frames.T)
         targets.append(target.T)
@@ -241,6 +258,7 @@ def train(
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
+    clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
 
     log_fh = None
     writer = None
@@ -265,7 +283,7 @@ def train(
 
     try:
         for step in range(start_step, cfg.steps):
-            x_np, y_np = _batch(corpus, cfg, step, dtype, model.config.channels)
+            x_np, y_np = _batch(corpus, cfg, step, dtype, model.config.channels, clean_targets)
             x = Node(x_np)
             _, probes = netmodel.forward_nodes(model, x, want_probes=True)
             total, report = cost_graph(probes, y_np, cfg.alpha, cfg.sum_excludes_final)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .frontend import SAMPLE_RATE, Waveform, frame_signal
+from .frontend import SAMPLE_RATE, Waveform, frame_signal, frame_view
 
 LPC_ORDER = 16
 LLR_CAP = 2.0
@@ -44,19 +44,11 @@ class LpcError(ValueError):
     pass
 
 
-def _raw_frames(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    if x.size < frame_len:
-        raise ValueError(f"signal of {x.size} samples is shorter than one frame")
-    n = (x.size - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n)[:, None]
-    return x[idx]
-
-
 def vad_mask(w: Waveform, frame_ms: float = 25.0, hop_ms: float = 10.0, threshold_db: float = 35.0) -> np.ndarray:
     """Boolean per-frame activity: energy within ``threshold_db`` of the peak frame."""
     frame_len = int(round(frame_ms * SAMPLE_RATE / 1000.0))
     hop = int(round(hop_ms * SAMPLE_RATE / 1000.0))
-    frames = _raw_frames(w.samples, frame_len, hop)
+    frames = frame_view(w.samples, frame_len, hop)
     energy = np.sum(frames * frames, axis=1)
     peak = float(energy.max())
     if peak <= 0.0:

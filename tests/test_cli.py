@@ -165,6 +165,18 @@ class TestTrain:
         assert [row.split(",")[0] for row in resumed_log[1:]] == ["3", "4", "5"]
         assert resumed_log[1:] == straight_log[4:]
 
+    @pytest.mark.parametrize("row", ["utt000,clean/utt000.wav", "utt000,clean/utt000.wav,abc"])
+    def test_bad_manifest_row_exits_1(self, trained_run, tmp_path, capsys, row):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"id,path,duration_s\n{row}\n")
+        code = main([
+            "train", "--config", str(trained_run / "train.cfg"), "--corpus", str(manifest),
+            "--out", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {manifest}:2: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("counter", ["opt.t", "train.step"])
     @pytest.mark.parametrize("value", [np.inf, -1.0, 2.5])
     def test_corrupt_step_counter_exits_1(self, trained_run, tmp_path, capsys, counter, value):

@@ -177,3 +177,21 @@ class TestManifest:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="manifest"):
             cp.read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("utt000,clean/utt000.wav", "expected 3 fields"),
+            ("utt000,clean/utt000.wav,3.0,extra", "expected 3 fields"),
+            ("", "expected 3 fields"),
+            ("utt000,clean/utt000.wav,abc", "duration_s"),
+            ("utt000,clean/utt000.wav,nan", "duration_s"),
+            ("utt000,clean/utt000.wav,inf", "duration_s"),
+            ("utt000,clean/utt000.wav,-1", "duration_s"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"id,path,duration_s\nutt001,clean/utt001.wav,2.0\n{row}\n")
+        with pytest.raises(ValueError, match=f"manifest.csv:3: {message}"):
+            cp.read_manifest(path)

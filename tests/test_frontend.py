@@ -24,6 +24,32 @@ def dct_direct(row):
     return out
 
 
+def log_fft_oracle(frames, nfft=512):
+    """Log magnitude of the full complex FFT, all ``nfft`` bins."""
+    return np.log(np.maximum(np.abs(np.fft.fft(frames, n=nfft, axis=1)), 1e-10))
+
+
+def wrapped(angle):
+    return np.angle(np.exp(1j * angle))
+
+
+def reconstruct_loop(enh, phase, length):
+    """Full Hermitian spectrum, complex ifft and a per-frame overlap-add loop."""
+    mags = np.exp(enh.frames)
+    mirror = (512 - np.arange(257)) % 512
+    spectrum = 0.5 * (mags[:, :257] + mags[:, mirror]) * np.exp(1j * phase.frames)
+    full = np.concatenate([spectrum, np.conj(spectrum[:, -2:0:-1])], axis=1)
+    frames = np.fft.ifft(full, axis=1).real[:, :400]
+    window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(400) / 400)
+    total = (frames.shape[0] - 1) * 160 + 400
+    out, wsum = np.zeros(total), np.zeros(total)
+    for f in range(frames.shape[0]):
+        out[f * 160:f * 160 + 400] += frames[f] * window
+        wsum[f * 160:f * 160 + 400] += window * window
+    out = np.where(wsum > 1e-8, out / np.maximum(wsum, 1e-8), 0.0)
+    return np.concatenate([out, np.zeros(max(0, length - total))])[:length]
+
+
 class TestFraming:
     def test_window_and_hop_sizes(self, speech):
         frames = fe.frame_signal(speech, 25.0, 10.0)
@@ -44,6 +70,15 @@ class TestFraming:
         with pytest.raises(ValueError, match="shorter"):
             fe.frame_signal(fe.Waveform(np.zeros(300)), 25.0, 10.0)
 
+    def test_frame_view_matches_index_matrix(self, speech):
+        x = speech.samples[:3001]
+        for win, hop in ((400, 160), (800, 160), (7, 3), (3001, 5)):
+            n = (x.size - win) // hop + 1
+            idx = np.arange(win)[None, :] + hop * np.arange(n)[:, None]
+            assert np.array_equal(fe.frame_view(x, win, hop), x[idx])
+        window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(400) / 400)
+        assert np.array_equal(fe.frame_signal(speech, 25.0), fe.frame_view(speech.samples, 400, 160) * window)
+
 
 class TestLogSpectrum:
     def test_zero_frame_hits_floor(self):
@@ -61,6 +96,18 @@ class TestLogSpectrum:
         spec = fe.log_spectrum(fe.frame_signal(speech, 25.0))
         for i in range(1, 256):
             assert np.max(np.abs(spec.frames[:, i] - spec.frames[:, 512 - i])) < 1e-9
+
+    @pytest.mark.parametrize("nfft", [511, 512])
+    def test_rfft_mirror_matches_full_fft_oracle(self, speech, nfft):
+        frames = fe.frame_signal(speech, 25.0)
+        magnitude = np.abs(np.fft.rfft(frames, n=nfft, axis=1))
+        assert np.max(np.abs(fe._log_magnitude(magnitude, nfft) - log_fft_oracle(frames, nfft))) < 1e-9
+        if nfft == 512:
+            assert np.max(np.abs(fe.log_spectrum(frames).frames - log_fft_oracle(frames))) < 1e-9
+
+    def test_target_matches_full_fft_oracle(self, speech):
+        oracle = log_fft_oracle(fe.frame_signal(speech, 25.0))
+        assert np.max(np.abs(fe.target_spectrum(speech).frames - oracle)) < 1e-9
 
     def test_oversize_frame_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -141,6 +188,14 @@ class TestAssemble:
         n = b.frames.shape[0]
         assert np.max(np.abs(a.frames[1:n + 1] - b.frames[:n])) < 1e-6
 
+    def test_log_fft_and_phase_match_full_fft_oracle(self, speech):
+        feats, phase = fe.assemble_features(speech, normalize=False)
+        n = feats.frames.shape[0]
+        spectrum = np.fft.fft(fe.frame_signal(speech, 25.0), 512, axis=1)[:n]
+        oracle = np.log(np.maximum(np.abs(spectrum), 1e-10))
+        assert np.max(np.abs(feats.frames[:, :512] - oracle)) < 1e-9
+        assert np.max(np.abs(wrapped(phase.frames - np.angle(spectrum[:, :257])))) < 1e-9
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="75 ms"):
             fe.assemble_features(fe.Waveform(np.zeros(800)))
@@ -157,6 +212,15 @@ class TestReconstruct:
         err = speech.samples[interior] - rec.samples[interior]
         snr = 10 * np.log10(np.sum(speech.samples[interior] ** 2) / max(np.sum(err**2), 1e-300))
         assert snr >= 30.0
+
+    @pytest.mark.parametrize("length", [1000, None, 60000])
+    def test_matches_ifft_loop_oracle(self, speech, length):
+        _, phase = fe.assemble_features(speech)
+        n = phase.frames.shape[0]
+        spec = fe.LogSpectrogram(fe.target_spectrum(speech).frames[:n])
+        length = length or speech.samples.size
+        rec = fe.reconstruct(spec, phase, length)
+        assert np.max(np.abs(rec.samples - reconstruct_loop(spec, phase, length))) < 1e-12
 
     def test_floor_spectrum_is_silent(self):
         spec = fe.LogSpectrogram(np.full((20, 512), np.log(1e-10)))

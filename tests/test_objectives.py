@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccrn import corpus as cp, diffcore as dc, netmodel as nm, objectives as obj
+from ccrn import corpus as cp, diffcore as dc, frontend as fe, netmodel as nm, objectives as obj
 from ccrn.frontend import LogSpectrogram
 
 
@@ -240,6 +240,20 @@ class TestSampling:
         with pytest.raises(ValueError, match="empty"):
             obj.sample_example([], small_train_config(), 0)
 
+    def test_target_memo_is_bit_identical(self, small_corpus):
+        cfg = small_train_config()
+        memo = {}
+        for _ in range(2):  # filling the memo, then reading it
+            for index in range(8):
+                f1, y1 = obj.sample_example(small_corpus, cfg, index)
+                f2, y2 = obj.sample_example(small_corpus, cfg, index, targets=memo)
+                assert np.array_equal(f1.frames, f2.frames)
+                assert np.array_equal(y1.frames, y2.frames)
+        assert 0 < len(memo) <= len(small_corpus)
+        for pick, target in memo.items():
+            assert np.array_equal(target.frames, fe.target_spectrum(small_corpus[pick]).frames)
+            assert not target.frames.flags.writeable
+
 
 class TestTrain:
     def test_reports_structure(self, small_corpus):
@@ -324,6 +338,19 @@ class TestTrain:
         cfg = small_train_config(steps=4, checkpoint_interval=2)
         obj.train(model, small_corpus, cfg, checkpoint_path=tmp_path / "ck.bin")
         assert saved_steps == [2, 4]
+
+    def test_each_clean_target_computed_once(self, small_corpus, monkeypatch):
+        calls = []
+        target_spectrum = fe.target_spectrum
+
+        def counting_target(w):
+            calls.append(next(i for i, u in enumerate(small_corpus) if u is w))
+            return target_spectrum(w)
+
+        monkeypatch.setattr(fe, "target_spectrum", counting_target)
+        model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=2)
+        obj.train(model, small_corpus, small_train_config(steps=4))
+        assert calls and len(calls) == len(set(calls))
 
     def test_step_counters_validated_on_resume(self):
         moments = {"opt.m.w": np.ones(2, dtype=np.float32), "opt.v.w": np.ones(2, dtype=np.float32)}
