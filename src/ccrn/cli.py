@@ -122,17 +122,24 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config_text(p.read_text(), str(p))
 
 
+def _read_manifest_audio(manifest_path: str) -> dict[str, Waveform]:
+    """Utterance id -> waveform for every manifest row, in row order.
+
+    Relative WAV paths resolve against the manifest's directory.
+    """
+    base = Path(manifest_path).parent
+    waves = {}
+    for utt_id, wav_path, _ in corpus_mod.read_manifest(manifest_path):
+        p = Path(wav_path)
+        waves[utt_id] = corpus_mod.read_wav(p if p.is_absolute() else base / p)
+    if not waves:
+        raise ConfigError(f"{manifest_path}: manifest lists no utterances")
+    return waves
+
+
 def _load_corpus(config: RunConfig, manifest_path: str | None) -> list[Waveform]:
     if manifest_path is not None:
-        rows = corpus_mod.read_manifest(manifest_path)
-        base = Path(manifest_path).parent
-        waves = []
-        for _, wav_path, _ in rows:
-            p = Path(wav_path)
-            waves.append(corpus_mod.read_wav(p if p.is_absolute() else base / p))
-        if not waves:
-            raise ConfigError(f"{manifest_path}: manifest lists no utterances")
-        return waves
+        return list(_read_manifest_audio(manifest_path).values())
     return [
         corpus_mod.synth_speech(config.duration_s, config.corpus_seed + i)
         for i in range(config.utterances)
@@ -299,14 +306,7 @@ def cmd_evaluate(
     manifest: str, enhanced_dir: str, noisy_dir: str | None, report_path: str | None, check_direction: bool
 ) -> int:
     rows_enh: list = []
-    base = Path(manifest).parent
-    clean = {}
-    for utt_id, wav_path, _ in corpus_mod.read_manifest(manifest):
-        p = Path(wav_path)
-        clean[utt_id] = corpus_mod.read_wav(p if p.is_absolute() else base / p)
-    if not clean:
-        raise ConfigError(f"{manifest}: manifest lists no utterances")
-
+    clean = _read_manifest_audio(manifest)
     enhanced = _score_directory(rows_enh, clean, Path(enhanced_dir))
     report = Path(report_path) if report_path else Path(enhanced_dir) / "report.csv"
     _write_report(report, rows_enh)

@@ -46,17 +46,17 @@ def make_rir_spec(rt60: float, drr_db: float, seed: int) -> RirSpec:
     return RirSpec(rt60, drr_db, max(1, int(round(rt60 * SAMPLE_RATE)) + 1), seed)
 
 
-def room_drr(rt60: float, base_drr_db: float, reference_rt60: float = 0.5) -> float:
+def room_drr(rt60: float, base_drr_db: float) -> float:
     """Direct-to-reverberant ratio of a room with the given decay time.
 
     ``base_drr_db`` encodes speaker-microphone distance (+5 dB near, -5 dB
-    far) at the reference decay time; other decay times scale the
-    reverberant energy Sabine-style (proportional to RT60), so longer
-    rooms get a lower ratio. A pure delta (rt60 = 0) keeps the base value.
+    far) at a 0.5 s decay time; other decay times scale the reverberant
+    energy Sabine-style (proportional to RT60), so longer rooms get a
+    lower ratio. A pure delta (rt60 = 0) keeps the base value.
     """
     if rt60 <= 0.0:
         return base_drr_db
-    return base_drr_db - 10.0 * math.log10(rt60 / reference_rt60)
+    return base_drr_db - 10.0 * math.log10(rt60 / 0.5)
 
 
 @dataclass(frozen=True)
@@ -278,8 +278,13 @@ def write_manifest(path, rows: list[tuple[str, str, float]]) -> None:
 
 
 def read_manifest(path) -> list[tuple[str, str, float]]:
-    """Rows of a corpus manifest; a malformed row is a ValueError naming path:line."""
+    """Rows of a corpus manifest.
+
+    A malformed row, or one that repeats an earlier id, is a ValueError
+    naming path:line.
+    """
     rows = []
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -295,5 +300,8 @@ def read_manifest(path) -> list[tuple[str, str, float]]:
                 duration = math.nan
             if not (math.isfinite(duration) and duration >= 0.0):
                 raise ValueError(f"{where}: duration_s must be a finite number >= 0, got {row[2]!r}")
+            if row[0] in seen:
+                raise ValueError(f"{where}: duplicate id {row[0]!r}")
+            seen.add(row[0])
             rows.append((row[0], row[1], duration))
     return rows

@@ -17,7 +17,7 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -102,34 +102,30 @@ class BatchNormState:
 
     Statistics are taken per channel over the time axis and, for batched
     input, the batch axis; the running variance uses the biased estimator.
+    The running-average momentum and the variance epsilon are fixed.
     """
+
+    momentum: ClassVar[float] = 0.1
+    eps: ClassVar[float] = 1e-5
 
     gamma: Node
     beta: Node
     running_mean: Array
     running_var: Array
-    momentum: float = 0.1
-    eps: float = 1e-5
     training: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {self.momentum}")
-        if self.eps <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.eps}")
         if np.any(self.running_var < 0):
             raise ValueError("running variance must be elementwise non-negative")
 
 
-def batchnorm_state(channels: int, dtype=np.float32, momentum: float = 0.1, eps: float = 1e-5) -> BatchNormState:
+def batchnorm_state(channels: int, dtype=np.float32) -> BatchNormState:
     """Fresh BN state: gamma=1, beta=0, running stats at the identity."""
     return BatchNormState(
         gamma=parameter(np.ones(channels, dtype=dtype)),
         beta=parameter(np.zeros(channels, dtype=dtype)),
         running_mean=np.zeros(channels, dtype=dtype),
         running_var=np.ones(channels, dtype=dtype),
-        momentum=momentum,
-        eps=eps,
     )
 
 

@@ -52,8 +52,6 @@ class LogSpectrogram:
     """T x 512 natural-log magnitude spectra (25 ms window, 10 ms hop)."""
 
     frames: np.ndarray
-    hop_ms: float = HOP_MS
-    win_ms: float = 25.0
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
@@ -156,17 +154,17 @@ def _log_magnitude(magnitude: np.ndarray, nfft: int) -> np.ndarray:
     return out
 
 
-def log_spectrum(frames: np.ndarray, nfft: int = FFT_BINS) -> LogSpectrogram:
-    """Natural-log FFT magnitude of each frame, all ``nfft`` bins kept.
+def log_spectrum(frames: np.ndarray) -> LogSpectrogram:
+    """Natural-log 512-point FFT magnitude of each frame, all 512 bins kept.
 
     Both mirror-symmetric halves are retained so the channel count matches
     the network's residual width; magnitudes are floored at 1e-10.
     """
     frames = np.asarray(frames)
-    if frames.shape[1] > nfft:
-        raise ValueError(f"frame length {frames.shape[1]} exceeds FFT size {nfft}")
-    magnitude = np.abs(np.fft.rfft(frames, n=nfft, axis=1))
-    return LogSpectrogram(_log_magnitude(magnitude, nfft))
+    if frames.shape[1] > FFT_BINS:
+        raise ValueError(f"frame length {frames.shape[1]} exceeds FFT size {FFT_BINS}")
+    magnitude = np.abs(np.fft.rfft(frames, n=FFT_BINS, axis=1))
+    return LogSpectrogram(_log_magnitude(magnitude, FFT_BINS))
 
 
 @lru_cache(maxsize=None)
@@ -213,27 +211,20 @@ def mel_features(frames: np.ndarray, n_mels: int) -> np.ndarray:
     return _mel_from_power(spectrum.real**2 + spectrum.imag**2, n_mels)
 
 
-def cepstral_features(log_mel: np.ndarray, n_ceps: int | None = None) -> np.ndarray:
-    """Orthonormal type-II DCT of each log-mel row, first ``n_ceps`` kept."""
-    log_mel = np.asarray(log_mel)
-    if n_ceps is None:
-        n_ceps = log_mel.shape[1]
-    if n_ceps > log_mel.shape[1]:
-        raise ValueError(f"cannot keep {n_ceps} cepstra from {log_mel.shape[1]} bands")
-    return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_ceps]
+def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
+    """Orthonormal type-II DCT of each log-mel row, one cepstrum per band."""
+    return scipy.fft.dct(np.asarray(log_mel), type=2, norm="ortho", axis=1)
 
 
-def assemble_features(
-    w: Waveform, normalize: bool = True, subtract_mean: bool = False
-) -> tuple[FeatureSequence, PhaseSpectrogram]:
+def assemble_features(w: Waveform, normalize: bool = True) -> tuple[FeatureSequence, PhaseSpectrogram]:
     """Build the 876-dim input features and the 25 ms analysis phase.
 
     Per frame the layout is: 512 log-FFT bins (25 ms) | 32 mel + 32 cepstra
     (25 ms) | 50 + 50 (50 ms) | 100 + 100 (75 ms). All streams share the
     10 ms hop and are truncated to the shortest stream's frame count. Each
     dimension is then divided by its per-utterance standard deviation
-    (scale only by default; ``subtract_mean`` additionally centers the
-    features). The applied divisors are recorded in ``norm_scale``.
+    (scale only: the features are not centered). The applied divisors are
+    recorded in ``norm_scale``.
     """
     if w.samples.size < _window_samples(75.0):
         raise ValueError("signal shorter than the 75 ms analysis window")
@@ -256,8 +247,6 @@ def assemble_features(
     feats = np.concatenate([s[:n_frames] for s in streams], axis=1)
     assert feats.shape[1] == FEATURE_DIM, f"feature assembly produced width {feats.shape[1]}"
 
-    if subtract_mean:
-        feats = feats - feats.mean(axis=0)
     if normalize:
         std = feats.std(axis=0)
         scale = np.where(std > 0.0, std, 1.0)

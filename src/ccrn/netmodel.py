@@ -58,9 +58,8 @@ class ModelConfig:
 
 @dataclass
 class ConvParams:
-    weight: Node  # (C_out, C_in, k)
+    weight: Node  # (C_out, C_in, k), applied with (k-1)/2 frames of zero padding
     bias: Node  # (C_out,)
-    padding: int
 
 
 @dataclass
@@ -125,7 +124,7 @@ def _assemble(config: ModelConfig, array) -> ModelParams:
     def conv(prefix: str, c_out: int, c_in: int) -> ConvParams:
         weight = diffcore.parameter(array(f"{prefix}.weight", (c_out, c_in, k)))
         bias = diffcore.parameter(array(f"{prefix}.bias", (c_out,)))
-        return ConvParams(weight, bias, (k - 1) // 2)
+        return ConvParams(weight, bias)
 
     def stage(prefix: str, c_in: int, c_out: int | None) -> StageParams:
         bn = BatchNormState(
@@ -183,7 +182,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 
 
 def _apply_conv(conv: ConvParams, x: Node) -> Node:
-    return diffcore.conv1d(x, conv.weight, conv.bias, conv.padding)
+    return diffcore.conv1d(x, conv.weight, conv.bias)
 
 
 def _apply_stage(stage: StageParams, x: Node) -> Node:

@@ -86,31 +86,24 @@ class TrainingDiverged(RuntimeError):
 
 def mse_cost(target, estimate) -> float:
     """Mean squared elementwise difference of two equal-shape spectrograms."""
-    y = target.frames if isinstance(target, LogSpectrogram) else np.asarray(target)
-    x = estimate.frames if isinstance(estimate, LogSpectrogram) else np.asarray(estimate)
-    if y.shape != x.shape:
-        raise ValueError(f"cost: shape mismatch {y.shape} vs {x.shape}")
-    d = y - x
-    return float(np.mean(d * d))
+    return progressive_cost(target, [estimate], alpha=0.0).main
 
 
 def progressive_cost(target, probes, alpha: float, exclude_final: bool = False) -> CostReport:
     """Final-block cost plus the alpha-weighted mean of all block costs.
 
-    ``exclude_final`` drops the last block from the auxiliary sum
-    (normalizing by L-1) for ablation; by default the sum runs over every
-    block, so the final block is counted in both terms.
+    The report ``cost_graph`` gives for the same block outputs (a
+    ``ProbeTrace``, or a sequence of spectrograms or arrays), computed
+    without a graph. ``exclude_final`` drops the last block from the
+    auxiliary sum (normalizing by L-1) for ablation; by default the sum
+    runs over every block, so the final block is counted in both terms.
     """
-    outputs = probes.outputs if isinstance(probes, netmodel.ProbeTrace) else list(probes)
-    if not outputs:
-        raise ValueError("progressive cost needs at least one block output")
-    per_block = [mse_cost(target, p) for p in outputs]
-    main = per_block[-1]
-    if alpha == 0.0:
-        return CostReport(main, main, per_block)
-    aux_terms = per_block[:-1] if exclude_final else per_block
-    aux = alpha * sum(aux_terms) / len(aux_terms) if aux_terms else 0.0
-    return CostReport(main + aux, main, per_block)
+
+    def frames(x):
+        return x.frames if isinstance(x, LogSpectrogram) else x
+
+    with diffcore.no_grad():
+        return cost_graph([Node(frames(p)) for p in probes], frames(target), alpha, exclude_final)[1]
 
 
 def cost_graph(
@@ -124,6 +117,8 @@ def cost_graph(
     it), so the parameter trajectory is bit-identical to a run without
     progressive supervision.
     """
+    if not probes:
+        raise ValueError("progressive cost needs at least one block output")
     block_costs = [diffcore.mse(p, target) for p in probes]
     main = block_costs[-1]
     aux_nodes = block_costs[:-1] if exclude_final else block_costs

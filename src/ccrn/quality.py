@@ -23,6 +23,7 @@ from .frontend import SAMPLE_RATE, Waveform, frame_signal, frame_view
 
 LPC_ORDER = 16
 LLR_CAP = 2.0
+VAD_THRESHOLD_DB = 35.0
 
 
 @dataclass
@@ -44,16 +45,14 @@ class LpcError(ValueError):
     pass
 
 
-def vad_mask(w: Waveform, frame_ms: float = 25.0, hop_ms: float = 10.0, threshold_db: float = 35.0) -> np.ndarray:
-    """Boolean per-frame activity: energy within ``threshold_db`` of the peak frame."""
-    frame_len = int(round(frame_ms * SAMPLE_RATE / 1000.0))
-    hop = int(round(hop_ms * SAMPLE_RATE / 1000.0))
-    frames = frame_view(w.samples, frame_len, hop)
+def vad_mask(w: Waveform) -> np.ndarray:
+    """Boolean activity of each 25 ms frame (10 ms hop): energy within 35 dB of the peak frame."""
+    frames = frame_view(w.samples, SAMPLE_RATE * 25 // 1000, SAMPLE_RATE * 10 // 1000)
     energy = np.sum(frames * frames, axis=1)
     peak = float(energy.max())
     if peak <= 0.0:
         return np.zeros(len(energy), dtype=bool)
-    return energy >= peak * 10.0 ** (-threshold_db / 10.0)
+    return energy >= peak * 10.0 ** (-VAD_THRESHOLD_DB / 10.0)
 
 
 def lpc(frame: np.ndarray, order: int = LPC_ORDER) -> LpcFrame:

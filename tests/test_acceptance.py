@@ -1,10 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
 The two training fixtures dominate the runtime: the pinned overfit run
-(5 utterances, 4 blocks, 128 channels, 2000 steps, ~15 min) and the
-enhancement model for the directional checks (32 utterances, 256 channels,
-500 steps, ~8 min). Everything else completes in seconds to a couple of
-minutes. Run with ``pytest tests/test_acceptance.py -v -s``.
+(5 utterances, 4 blocks, 128 channels, 2000 steps, ~3.5 min on 2 cores)
+and the enhancement model for the directional checks (32 utterances, 256
+channels, 500 steps, ~1.5 min). Every test body then completes within
+seconds. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time

@@ -1,11 +1,13 @@
 """Command-line surface: config parsing, synth/train/enhance/evaluate flows."""
 
+import argparse
 import filecmp
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccrn
 from ccrn import cli, corpus as cp, frontend as fe, netmodel as nm
 from ccrn.cli import ConfigError, load_config, main, parse_config_text
 
@@ -66,6 +68,56 @@ class TestConfigParsing:
 
     def test_missing_file_is_validation_error(self):
         assert main(["synth", "--config", "/nonexistent.cfg", "--out", "/tmp/x"]) == 1
+
+
+class TestPublicSurface:
+    """Public names, config keys and CLI flags are a contract: change them on purpose."""
+
+    def test_names_keys_and_flags(self):
+        assert ccrn.__all__ == [
+            "Node", "backprop", "grad_check",
+            "Waveform", "LogSpectrogram", "FeatureSequence", "PhaseSpectrogram",
+            "assemble_features", "target_spectrum", "reconstruct",
+            "ModelConfig", "ModelParams", "ProbeTrace", "build_model", "forward", "truncate",
+            "select_depth", "save_checkpoint", "load_checkpoint",
+            "TrainConfig", "OptimizerState", "CostReport", "mse_cost", "progressive_cost",
+            "adamw_step", "train",
+            "RirSpec", "CorruptionSpec", "synth_rir", "synth_speech", "corrupt", "read_wav", "write_wav",
+            "QualityReport", "vad_mask", "lpc", "llr", "srmr",
+        ]
+        assert list(cli._CONFIG_KEYS) == [
+            "model.kind", "model.blocks", "model.channels", "model.state_step", "model.kernel",
+            "train.alpha", "train.seq_len", "train.batch_size", "train.lr", "train.weight_decay",
+            "train.steps", "train.seed", "train.checkpoint_interval", "train.sum_excludes_final",
+            "corpus.rt60", "corpus.drr_db", "corpus.snr_db", "corpus.noise",
+            "corpus.utterances", "corpus.duration", "corpus.seed",
+        ]
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: [flag for action in parser._actions for flag in action.option_strings]
+            for name, parser in subparsers.choices.items()
+        }
+        assert flags == {
+            "synth": ["-h", "--help", "--config", "--out"],
+            "train": ["-h", "--help", "--config", "--out", "--corpus", "--resume"],
+            "enhance": ["-h", "--help", "--checkpoint", "--in", "--out", "--blocks", "--probes"],
+            "evaluate": [
+                "-h", "--help", "--manifest", "--enhanced-dir", "--noisy-dir", "--report", "--check-direction",
+            ],
+            "gradcheck": ["-h", "--help", "--step"],
+        }
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_header_only_manifest_exits_1(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("id,path,duration_s\n")
+    argv = {
+        "train": ["train", "--corpus", str(manifest), "--out", str(tmp_path / "run")],
+        "evaluate": ["evaluate", "--manifest", str(manifest), "--enhanced-dir", str(tmp_path)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: manifest lists no utterances\n"
 
 
 @pytest.fixture(scope="module")

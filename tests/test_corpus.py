@@ -188,6 +188,7 @@ class TestManifest:
             ("utt000,clean/utt000.wav,nan", "duration_s"),
             ("utt000,clean/utt000.wav,inf", "duration_s"),
             ("utt000,clean/utt000.wav,-1", "duration_s"),
+            ("utt001,clean/utt000.wav,1.0", "duplicate id 'utt001'"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):

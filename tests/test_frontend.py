@@ -176,11 +176,6 @@ class TestAssemble:
         raw, _ = fe.assemble_features(speech, normalize=False)
         assert np.allclose(feats.frames * feats.norm_scale, raw.frames, atol=1e-9)
 
-    def test_mean_subtraction_switch(self, speech):
-        feats, _ = fe.assemble_features(speech, subtract_mean=True)
-        mean = feats.frames.mean(axis=0)
-        assert np.max(np.abs(mean)) < 1e-9
-
     def test_translation_covariance(self, speech):
         shifted = fe.Waveform(speech.samples[160:])
         a, _ = fe.assemble_features(speech, normalize=False)

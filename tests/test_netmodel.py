@@ -125,7 +125,7 @@ class TestForward:
         def stage(params, value):
             h = dc.batchnorm1d(dc.Node(value), params.bn)
             h = dc.prelu(h, params.slope)
-            return dc.conv1d(h, params.conv.weight, params.conv.bias, params.conv.padding).value
+            return dc.conv1d(h, params.conv.weight, params.conv.bias).value
 
         # manual two-stage composition oracle from the primitives
         want = x + stage(block.stage2, stage(block.stage1, x))

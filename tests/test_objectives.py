@@ -105,6 +105,8 @@ class TestProgressiveCost:
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError, match="block"):
             obj.progressive_cost(np.zeros((2, 2)), [], alpha=0.1)
+        with pytest.raises(ValueError, match="block"):
+            obj.cost_graph([], np.zeros((2, 2)), alpha=0.1)
 
     def test_graph_matches_report(self):
         rng = np.random.default_rng(46)
