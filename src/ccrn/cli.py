@@ -211,22 +211,18 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
     return 0
 
 
-def _enhance(
-    model: ModelParams, noisy: Waveform, blocks: int | None, want_probes: bool
+def enhance_waveform(
+    model: ModelParams, noisy: Waveform, blocks: int | None = None, want_probes: bool = False
 ) -> tuple[Waveform, list[LogSpectrogram] | None, PhaseSpectrogram]:
+    """Features -> forward (optionally truncated) -> overlap-add resynthesis.
+
+    Also returns the noisy phase, which resynthesizes the probe spectra.
+    """
     active = model if blocks is None else netmodel.truncate(model, blocks)
     feats, phase = frontend.assemble_features(noisy)
     spectrum, trace = netmodel.forward(active, feats, want_probes=want_probes)
     enhanced = frontend.reconstruct(spectrum, phase, noisy.samples.size)
     return enhanced, None if trace is None else trace.outputs, phase
-
-
-def enhance_waveform(
-    model: ModelParams, noisy: Waveform, blocks: int | None = None, want_probes: bool = False
-) -> tuple[Waveform, list[LogSpectrogram] | None]:
-    """Features -> forward (optionally truncated) -> overlap-add resynthesis."""
-    enhanced, probes, _ = _enhance(model, noisy, blocks, want_probes)
-    return enhanced, probes
 
 
 def _write_peak_normalized(path, wave: Waveform) -> None:
@@ -241,7 +237,7 @@ def cmd_enhance(checkpoint: str, in_wav: str, out_wav: str, blocks: int | None, 
         raise ConfigError(f"--blocks must be in [1, {model.config.blocks}], got {blocks}")
     noisy = corpus_mod.read_wav(in_wav)
 
-    enhanced, probes, phase = _enhance(model, noisy, blocks, probes_dir is not None)
+    enhanced, probes, phase = enhance_waveform(model, noisy, blocks, probes_dir is not None)
     _write_peak_normalized(out_wav, enhanced)
 
     if probes is not None:

@@ -138,18 +138,18 @@ def _as_batched(a: Array, what: str) -> tuple[Array, bool]:
     raise ValueError(f"{what}: expected a (C, T) or (B, C, T) array, got shape {a.shape}")
 
 
-def conv1d(x: Node, weight: Node, bias: Node, padding: int | None = None) -> Node:
+def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     """1-D convolution (cross-correlation) along the time axis, as k shifted matmuls.
 
-    weight is (C_out, C_in, k) with k odd; padding defaults to (k-1)/2 so
-    the output keeps the input length. With x_pad the input zero-padded by
-    ``padding`` frames at both ends and T' = T + 2*padding - k + 1:
+    weight is (C_out, C_in, k) with k odd; the input is zero-padded by
+    p = (k-1)/2 frames at both ends, so the output keeps the input length
+    T. With x_pad the padded input:
 
-        out = bias + sum_j W[:, :, j] @ x_pad[..., j:j+T']
+        out = bias + sum_j W[:, :, j] @ x_pad[..., j:j+T]
 
     The backward pass reads the same sum in reverse,
-    dW[:, :, j] = sum_b g @ x_pad[..., j:j+T']^T and
-    dx_pad[..., j:j+T'] += W[:, :, j]^T @ g, then crops the padding.
+    dW[:, :, j] = sum_b g @ x_pad[..., j:j+T]^T and
+    dx_pad[..., j:j+T] += W[:, :, j]^T @ g, then crops the padding.
     Differentiable w.r.t. input, weight and bias.
     """
     w = weight.value
@@ -158,20 +158,18 @@ def conv1d(x: Node, weight: Node, bias: Node, padding: int | None = None) -> Nod
     c_out, c_in, k = w.shape
     if k % 2 == 0:
         raise ValueError(f"conv1d: kernel size must be odd, got {k}")
-    if padding is None:
-        padding = (k - 1) // 2
+    padding = (k - 1) // 2
     xv, unbatched = _as_batched(x.value, "conv1d")
     _, c, t = xv.shape
     if c != c_in:
         raise ValueError(f"conv1d: input has {c} channels but weight expects {c_in}")
-    t_out = t + 2 * padding - k + 1
-    if t_out < 1:
-        raise ValueError(f"conv1d: {t} frames with padding {padding} are too few for kernel size {k}")
+    if t < 1:
+        raise ValueError("conv1d: 0 frames are too few, need at least 1")
 
     xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
-    out3 = w[:, :, 0] @ xp[:, :, :t_out]
+    out3 = w[:, :, 0] @ xp[:, :, :t]
     for j in range(1, k):
-        out3 += w[:, :, j] @ xp[:, :, j:j + t_out]
+        out3 += w[:, :, j] @ xp[:, :, j:j + t]
     out3 += bias.value[:, None]
 
     def backward(g: Array) -> None:
@@ -181,11 +179,11 @@ def conv1d(x: Node, weight: Node, bias: Node, padding: int | None = None) -> Nod
         if weight.requires_grad:
             dw = weight.ensure_grad()
             for j in range(k):
-                dw[:, :, j] += (g3 @ xp[:, :, j:j + t_out].transpose(0, 2, 1)).sum(axis=0)
+                dw[:, :, j] += (g3 @ xp[:, :, j:j + t].transpose(0, 2, 1)).sum(axis=0)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for j in range(k):
-                dxp[:, :, j:j + t_out] += w[:, :, j].T @ g3
+                dxp[:, :, j:j + t] += w[:, :, j].T @ g3
             dx = dxp[:, :, padding:padding + t]
             x.ensure_grad()[...] += dx[0] if unbatched else dx
 

@@ -20,6 +20,9 @@ HOP_MS = 10.0
 FFT_BINS = 512
 FEATURE_DIM = 876
 MAG_FLOOR = 1e-10
+# np.std of a constant column is rounding noise, ~1e-16 of the column's
+# magnitude; the least varying column of speech is ~1e-1 of it
+CONSTANT_RTOL = 1e-10
 
 # (mel band count, window ms) per analysis stream; resolution grows with
 # the window, and the 25 ms stream also feeds the 512-point log FFT.
@@ -109,14 +112,14 @@ def frame_view(x: np.ndarray, win: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
 
 
-def frame_signal(w: Waveform, win_ms: float, hop_ms: float = HOP_MS) -> np.ndarray:
-    """Slice a waveform into Hamming-windowed frames.
+def frame_signal(w: Waveform, win_ms: float) -> np.ndarray:
+    """Slice a waveform into Hamming-windowed frames on the 10 ms hop.
 
     Returns a T x W matrix with T = floor((len - W) / H) + 1; rejects
     signals shorter than one window.
     """
     win = _window_samples(win_ms)
-    frames = frame_view(w.samples, win, _window_samples(hop_ms))
+    frames = frame_view(w.samples, win, _window_samples(HOP_MS))
     return frames * _hamming_periodic(win)[None, :]
 
 
@@ -154,19 +157,6 @@ def _log_magnitude(magnitude: np.ndarray, nfft: int) -> np.ndarray:
     return out
 
 
-def log_spectrum(frames: np.ndarray) -> LogSpectrogram:
-    """Natural-log 512-point FFT magnitude of each frame, all 512 bins kept.
-
-    Both mirror-symmetric halves are retained so the channel count matches
-    the network's residual width; magnitudes are floored at 1e-10.
-    """
-    frames = np.asarray(frames)
-    if frames.shape[1] > FFT_BINS:
-        raise ValueError(f"frame length {frames.shape[1]} exceeds FFT size {FFT_BINS}")
-    magnitude = np.abs(np.fft.rfft(frames, n=FFT_BINS, axis=1))
-    return LogSpectrogram(_log_magnitude(magnitude, FFT_BINS))
-
-
 @lru_cache(maxsize=None)
 def _mel_filterbank(n_mels: int, nfft: int) -> np.ndarray:
     """Triangular mel filters spanning 0-8000 Hz on the rfft bin grid."""
@@ -190,25 +180,10 @@ def _mel_filterbank(n_mels: int, nfft: int) -> np.ndarray:
     return filters
 
 
-def mel_filter_centers(n_mels: int) -> np.ndarray:
-    """Center frequency (Hz) of each mel filter."""
-    m = 2595.0 * np.log10(1.0 + (SAMPLE_RATE / 2.0) / 700.0)
-    mel_points = np.linspace(0.0, m, n_mels + 2)
-    return 700.0 * (10.0 ** (mel_points[1:-1] / 2595.0) - 1.0)
-
-
 def _mel_from_power(power: np.ndarray, n_mels: int) -> np.ndarray:
     """Log mel energies of T x (nfft/2 + 1) rfft power spectra."""
     energies = power @ _mel_filterbank(n_mels, 2 * (power.shape[1] - 1)).T
     return np.log(np.maximum(energies, MAG_FLOOR))
-
-
-def mel_features(frames: np.ndarray, n_mels: int) -> np.ndarray:
-    """Log mel-filterbank energies of windowed frames (floored at 1e-10)."""
-    frames = np.asarray(frames)
-    nfft = _fft_size(frames.shape[1])
-    spectrum = np.fft.rfft(frames, n=nfft, axis=1)
-    return _mel_from_power(spectrum.real**2 + spectrum.imag**2, n_mels)
 
 
 def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
@@ -216,15 +191,17 @@ def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
     return scipy.fft.dct(np.asarray(log_mel), type=2, norm="ortho", axis=1)
 
 
-def assemble_features(w: Waveform, normalize: bool = True) -> tuple[FeatureSequence, PhaseSpectrogram]:
+def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
     """Build the 876-dim input features and the 25 ms analysis phase.
 
     Per frame the layout is: 512 log-FFT bins (25 ms) | 32 mel + 32 cepstra
     (25 ms) | 50 + 50 (50 ms) | 100 + 100 (75 ms). All streams share the
     10 ms hop and are truncated to the shortest stream's frame count. Each
     dimension is then divided by its per-utterance standard deviation
-    (scale only: the features are not centered). The applied divisors are
-    recorded in ``norm_scale``.
+    (scale only: the features are not centered); a dimension that is
+    constant up to rounding, as in silence, keeps divisor 1. The applied
+    divisors are recorded in ``norm_scale``; ``frames * norm_scale`` gives
+    back the raw features up to rounding.
     """
     if w.samples.size < _window_samples(75.0):
         raise ValueError("signal shorter than the 75 ms analysis window")
@@ -247,12 +224,9 @@ def assemble_features(w: Waveform, normalize: bool = True) -> tuple[FeatureSeque
     feats = np.concatenate([s[:n_frames] for s in streams], axis=1)
     assert feats.shape[1] == FEATURE_DIM, f"feature assembly produced width {feats.shape[1]}"
 
-    if normalize:
-        std = feats.std(axis=0)
-        scale = np.where(std > 0.0, std, 1.0)
-        feats = feats / scale
-    else:
-        scale = np.ones(FEATURE_DIM)
+    std = feats.std(axis=0)
+    scale = np.where(std > CONSTANT_RTOL * np.abs(feats).max(axis=0), std, 1.0)
+    feats = feats / scale
 
     phase = np.angle(spectrum25[:n_frames])
     phase = np.where(phase <= -np.pi, np.pi, phase)

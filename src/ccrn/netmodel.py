@@ -4,7 +4,8 @@ Two variants share a first 876->512 convolution and a stack of residual
 blocks that keep 512 channels on the residual path, so the value after
 every block lives in the target log-spectrum domain and can be probed.
 The state variant additionally carries a growing side path (32*l channels
-after block l) that is concatenated onto the block input. Models can be
+after block l) that is concatenated onto the next block's input; the last
+block has no state output, since nothing would read it. Models can be
 truncated to a block prefix at evaluation time, and serialize to a small
 binary checkpoint format (magic ``CCRN01``).
 """
@@ -26,6 +27,8 @@ from .frontend import FFT_BINS, FeatureSequence, LogSpectrogram, unfold_spectrum
 KIND_CCRN = "ccrn"
 KIND_CCRN_STATE = "ccrn-state"
 CHECKPOINT_MAGIC = b"CCRN01"
+# relative cost improvement a block must bring for select_depth to keep it
+DEPTH_GAIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class BlockParams:
     State blocks run stage1 (conv widens to the block's state width) on the
     concatenated residual+state input, stage2 (BN+PReLU only), then project
     the shared inner activation through ``out_res`` (back to the residual
-    width) and ``out_state`` (the next block's state).
+    width) and ``out_state`` (the next block's state; None in the last
+    block).
     """
 
     stage1: StageParams
@@ -117,7 +121,8 @@ def _assemble(config: ModelConfig, array) -> ModelParams:
 
     Names are those of ``named_arrays``. Conv weights are requested in a
     fixed order (first layer, then per block stage1, stage2, out_res,
-    out_state), which ``build_model``'s seeded draws depend on.
+    out_state), which ``build_model``'s seeded draws depend on. The last
+    state block has no ``out_state``.
     """
     k = config.kernel
 
@@ -156,7 +161,7 @@ def _assemble(config: ModelConfig, array) -> ModelParams:
                     stage1=stage(f"{prefix}.stage1", c_res + c_prev, c_inner),
                     stage2=stage(f"{prefix}.stage2", c_inner, None),
                     out_res=conv(f"{prefix}.out_res", c_res, c_inner),
-                    out_state=conv(f"{prefix}.out_state", c_inner, c_inner),
+                    out_state=conv(f"{prefix}.out_state", c_inner, c_inner) if l < config.blocks else None,
                 )
             )
     return ModelParams(config, first, blocks)
@@ -201,7 +206,7 @@ def block_forward(block: BlockParams, residual: Node, state: Node | None = None)
     inner = residual if state is None else diffcore.concat_channels(residual, state)
     inner = _apply_stage(block.stage2, _apply_stage(block.stage1, inner))
     new_residual = diffcore.add(residual, _apply_conv(block.out_res, inner))
-    new_state = _apply_conv(block.out_state, inner)
+    new_state = None if block.out_state is None else _apply_conv(block.out_state, inner)
     return new_residual, new_state
 
 
@@ -256,11 +261,11 @@ def truncate(model: ModelParams, depth: int) -> ModelParams:
     )
 
 
-def select_depth(per_block_costs: Sequence[float], threshold: float = 0.01) -> int:
+def select_depth(per_block_costs: Sequence[float]) -> int:
     """Smallest usable depth given validation costs per block.
 
     Returns the last (1-based) block whose relative cost improvement over
-    its predecessor is at least ``threshold``; 1 if no block clears it.
+    its predecessor is at least ``DEPTH_GAIN`` (1 %); 1 if no block clears it.
     """
     costs = list(per_block_costs)
     if not costs:
@@ -268,7 +273,7 @@ def select_depth(per_block_costs: Sequence[float], threshold: float = 0.01) -> i
     selected = 1
     for l in range(2, len(costs) + 1):
         prev, cur = costs[l - 2], costs[l - 1]
-        if prev > 0 and (prev - cur) / prev >= threshold:
+        if prev > 0 and (prev - cur) / prev >= DEPTH_GAIN:
             selected = l
     return selected
 

@@ -16,7 +16,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -32,13 +32,16 @@ MAX_STEPS = 2**24
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; the Adam moment decays and epsilon are fixed."""
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
+
     alpha: float = 0.1
     seq_len: int = 200
     batch_size: int = 8
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 1e-5
     steps: int = 1000
     seed: int = 0

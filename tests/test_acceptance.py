@@ -142,16 +142,17 @@ def test_c2_structural_constants():
     feats, _ = fe.assemble_features(w)
     assert feats.frames.shape[1] == 876
 
-    frames = fe.frame_signal(w, 25.0, 10.0)
-    assert frames.shape[0] == 98
-    assert fe.log_spectrum(frames).frames.shape[1] == 512
+    assert fe.frame_signal(w, 25.0).shape[0] == 98
+    assert fe.target_spectrum(w).frames.shape == (98, 512)
 
     model = nm.build_model(nm.ModelConfig(kind="ccrn-state"), seed=0)
     for l, block in enumerate(model.blocks, start=1):
         assert block.stage1.conv.weight.value.shape[0] == 32 * l
-        assert block.out_state.weight.value.shape[0] == 32 * l
+        if l < 14:
+            assert block.out_state.weight.value.shape[0] == 32 * l
+    assert model.blocks[-1].out_state is None
     report("C2", "feature width 876, spectrum width 512, 98 frames per second, "
-                 "state widths 32*l for l=1..14")
+                 "state widths 32*l for l=1..14, no state output from block 14")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def test_c6_directional_enhancement(enhancement_model, eval_utterances, noisy_sc
         llrs, srmrs = [], []
         for i, clean in enumerate(eval_utterances):
             noisy = corrupted(clean, i, rt60)
-            enhanced, _ = cli.enhance_waveform(enhancement_model, noisy)
+            enhanced, _, _ = cli.enhance_waveform(enhancement_model, noisy)
             peak = np.max(np.abs(enhanced.samples))
             if peak > 1.0:
                 enhanced = Waveform(enhanced.samples / peak)

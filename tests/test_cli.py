@@ -217,6 +217,18 @@ class TestTrain:
         assert [row.split(",")[0] for row in resumed_log[1:]] == ["3", "4", "5"]
         assert resumed_log[1:] == straight_log[4:]
 
+    def test_state_model_trains(self, tmp_path):
+        cfg = tmp_path / "state.cfg"
+        cfg.write_text(
+            "model.kind = ccrn-state\nmodel.blocks = 2\nmodel.channels = 64\n"
+            "train.steps = 2\ntrain.seq_len = 60\ntrain.batch_size = 2\n"
+            "corpus.utterances = 2\ncorpus.duration = 1.2\n"
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        model, extra = nm.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert model.blocks[-1].out_state is None
+        assert extra["train.step"][0] == 2
+
     @pytest.mark.parametrize("row", ["utt000,clean/utt000.wav", "utt000,clean/utt000.wav,abc"])
     def test_bad_manifest_row_exits_1(self, trained_run, tmp_path, capsys, row):
         manifest = tmp_path / "manifest.csv"
@@ -266,11 +278,23 @@ class TestEnhance:
         model, _ = nm.load_checkpoint(checkpoint)
         in_wav = synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"
         noisy = cp.read_wav(in_wav)
-        enhanced_full, probes = cli.enhance_waveform(model, noisy, want_probes=True)
-        enhanced_trunc, _ = cli.enhance_waveform(model, noisy, blocks=model.config.blocks)
+        enhanced_full, probes, phase = cli.enhance_waveform(model, noisy, want_probes=True)
+        enhanced_trunc, _, _ = cli.enhance_waveform(model, noisy, blocks=model.config.blocks)
         assert np.array_equal(enhanced_full.samples, enhanced_trunc.samples)
+        rebuilt = fe.reconstruct(probes[-1], phase, noisy.samples.size)
+        assert np.array_equal(rebuilt.samples, enhanced_full.samples)
         out, trace = nm.forward(model, fe.assemble_features(noisy)[0], True)
         assert np.array_equal(trace[len(trace) - 1].frames, out.frames)
+
+    def test_silent_input_gives_finite_audio(self, trained_run, tmp_path):
+        silent = tmp_path / "silent.wav"
+        cp.write_wav(silent, fe.Waveform(np.zeros(16000)))
+        out_wav = tmp_path / "enh.wav"
+        assert main([
+            "enhance", "--checkpoint", str(trained_run / "run" / "checkpoint.bin"),
+            "--in", str(silent), "--out", str(out_wav),
+        ]) == 0
+        assert cp.read_wav(out_wav).samples.size == 16000
 
     def test_truncated_checkpoint_exits_1(self, trained_run, synth_dir, tmp_path, capsys):
         cut = tmp_path / "cut.bin"

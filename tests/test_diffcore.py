@@ -57,7 +57,7 @@ class TestConv1d:
             c_in = int(rng.integers(1, 5))
             c_out = int(rng.integers(1, 5))
             k = int(rng.choice([1, 3, 5]))
-            t = int(rng.integers(k, 17))
+            t = int(rng.integers(1, 17))
             x = rng.standard_normal((c_in, t))
             w = rng.standard_normal((c_out, c_in, k))
             b = rng.standard_normal(c_out)
@@ -82,13 +82,12 @@ class TestConv1d:
         with pytest.raises(ValueError, match="channels"):
             dc.conv1d(x, w, b)
 
-    def test_input_shorter_than_kernel_rejected(self):
+    def test_zero_frames_rejected(self):
         with pytest.raises(ValueError, match="too few"):
             dc.conv1d(
-                dc.constant(np.zeros((1, 2))),
+                dc.constant(np.zeros((1, 0))),
                 dc.parameter(np.zeros((1, 1, 3))),
                 dc.parameter(np.zeros(1)),
-                padding=0,
             )
 
     def test_even_kernel_rejected(self):
@@ -278,17 +277,17 @@ class TestGradCheck:
 
         assert dc.grad_check(loss_fn, [w, b]) < 1e-6
 
-    @pytest.mark.parametrize("padding", [None, 0, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_conv_input_gradient(self, batch, padding):
         rng = np.random.default_rng(16)
         x = dc.parameter(rng.standard_normal(batch + (2, 9)))
-        w = dc.parameter(rng.standard_normal((3, 2, 3)) * 0.4)
+        w = dc.parameter(rng.standard_normal((3, 2, 2 * padding + 1)) * 0.4)
         b = dc.parameter(rng.standard_normal(3) * 0.1)
-        target = rng.standard_normal(dc.conv1d(x, w, b, padding).shape)
+        target = rng.standard_normal(batch + (3, 9))
 
         def loss_fn():
-            return dc.mse(dc.conv1d(x, w, b, padding), target)
+            return dc.mse(dc.conv1d(x, w, b), target)
 
         assert dc.grad_check(loss_fn, [x, w, b]) < 1e-6
 

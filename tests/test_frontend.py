@@ -52,23 +52,23 @@ def reconstruct_loop(enh, phase, length):
 
 class TestFraming:
     def test_window_and_hop_sizes(self, speech):
-        frames = fe.frame_signal(speech, 25.0, 10.0)
+        frames = fe.frame_signal(speech, 25.0)
         assert frames.shape[1] == 400
 
     def test_one_second_gives_98_frames(self):
         w = fe.Waveform(np.ones(16000) * 0.1)
-        assert fe.frame_signal(w, 25.0, 10.0).shape[0] == 98
+        assert fe.frame_signal(w, 25.0).shape[0] == 98
 
     def test_ones_input_yields_window(self):
         w = fe.Waveform(np.ones(3200))
-        frames = fe.frame_signal(w, 25.0, 10.0)
+        frames = fe.frame_signal(w, 25.0)
         window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(400) / 400)
         for row in frames:
             assert np.allclose(row, window, atol=1e-12)
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
-            fe.frame_signal(fe.Waveform(np.zeros(300)), 25.0, 10.0)
+            fe.frame_signal(fe.Waveform(np.zeros(300)), 25.0)
 
     def test_frame_view_matches_index_matrix(self, speech):
         x = speech.samples[:3001]
@@ -82,18 +82,19 @@ class TestFraming:
 
 class TestLogSpectrum:
     def test_zero_frame_hits_floor(self):
-        spec = fe.log_spectrum(np.zeros((2, 400)))
+        spec = fe.target_spectrum(fe.Waveform(np.zeros(720)))
+        assert spec.frames.shape == (3, 512)
         assert np.all(spec.frames == np.log(1e-10))
 
     def test_tone_peak_bin(self):
         t = np.arange(16000) / 16000
         tone = fe.Waveform(0.5 * np.sin(2 * np.pi * 1000 * t))
-        spec = fe.log_spectrum(fe.frame_signal(tone, 25.0))
+        spec = fe.target_spectrum(tone)
         assert np.argmax(spec.frames[10][:257]) == 32
         assert np.argmax(spec.frames[10][257:]) + 257 == 512 - 32
 
     def test_mirror_symmetry(self, speech):
-        spec = fe.log_spectrum(fe.frame_signal(speech, 25.0))
+        spec = fe.target_spectrum(speech)
         for i in range(1, 256):
             assert np.max(np.abs(spec.frames[:, i] - spec.frames[:, 512 - i])) < 1e-9
 
@@ -102,37 +103,55 @@ class TestLogSpectrum:
         frames = fe.frame_signal(speech, 25.0)
         magnitude = np.abs(np.fft.rfft(frames, n=nfft, axis=1))
         assert np.max(np.abs(fe._log_magnitude(magnitude, nfft) - log_fft_oracle(frames, nfft))) < 1e-9
-        if nfft == 512:
-            assert np.max(np.abs(fe.log_spectrum(frames).frames - log_fft_oracle(frames))) < 1e-9
 
     def test_target_matches_full_fft_oracle(self, speech):
         oracle = log_fft_oracle(fe.frame_signal(speech, 25.0))
         assert np.max(np.abs(fe.target_spectrum(speech).frames - oracle)) < 1e-9
 
-    def test_oversize_frame_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            fe.log_spectrum(np.zeros((1, 600)))
+
+def mel_centers(n_mels):
+    """Centre frequency (Hz) of each of ``n_mels`` mel filters spanning 0-8000 Hz."""
+    mel = np.linspace(0.0, 2595.0 * np.log10(1.0 + 8000.0 / 700.0), n_mels + 2)[1:-1]
+    return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
+
+
+# raw log-mel columns of assemble_features per stream: (mel bands, columns)
+MEL_COLUMNS = ((32, slice(512, 544)), (50, slice(576, 626)), (100, slice(676, 776)))
+
+
+def raw_features(w):
+    feats, _ = fe.assemble_features(w)
+    return feats.frames * feats.norm_scale
 
 
 class TestMelCepstra:
     def test_zero_frame_floors(self):
-        out = fe.mel_features(np.zeros((3, 400)), 32)
-        assert np.all(out == np.log(1e-10))
+        raw = raw_features(fe.Waveform(np.zeros(3200)))
+        for _, cols in MEL_COLUMNS:
+            assert np.all(raw[:, cols] == np.log(1e-10))
 
     def test_white_noise_is_finite(self):
         rng = np.random.default_rng(22)
-        out = fe.mel_features(rng.standard_normal((4, 800)), 50)
-        assert np.all(np.isfinite(out))
+        raw = raw_features(fe.Waveform(rng.standard_normal(3200)))
+        for _, cols in MEL_COLUMNS:
+            assert np.all(np.isfinite(raw[:, cols]))
+
+    def test_mel_energies_are_power(self, speech):
+        # doubling the amplitude adds log 2 to log magnitudes and log 4 to log powers
+        base = raw_features(speech)
+        doubled = raw_features(fe.Waveform(2.0 * speech.samples))
+        assert np.max(np.abs(doubled[:, :512] - base[:, :512] - np.log(2.0))) < 1e-9
+        for _, cols in MEL_COLUMNS:
+            assert np.max(np.abs(doubled[:, cols] - base[:, cols] - np.log(4.0))) < 1e-9
 
     def test_tone_hits_nearest_filter(self):
-        centers = fe.mel_filter_centers(32)
-        for freq in (500.0, 1000.0, 3000.0):
-            t = np.arange(16000) / 16000
-            tone = fe.Waveform(0.5 * np.sin(2 * np.pi * freq * t))
-            out = fe.mel_features(fe.frame_signal(tone, 25.0), 32)
-            got = int(np.argmax(out.mean(axis=0)))
-            want = int(np.argmin(np.abs(centers - freq)))
-            assert got == want
+        t = np.arange(16000) / 16000
+        for freq in (250.0, 500.0, 1000.0, 3000.0, 6000.0):
+            raw = raw_features(fe.Waveform(0.5 * np.sin(2 * np.pi * freq * t)))
+            for n_mels, cols in MEL_COLUMNS:
+                got = int(np.argmax(raw[:, cols].mean(axis=0)))
+                want = int(np.argmin(np.abs(mel_centers(n_mels) - freq)))
+                assert got == want, (freq, n_mels)
 
     def test_constant_row_dct(self):
         c = 1.7
@@ -173,22 +192,30 @@ class TestAssemble:
 
     def test_norm_scale_recorded(self, speech):
         feats, _ = fe.assemble_features(speech)
-        raw, _ = fe.assemble_features(speech, normalize=False)
-        assert np.allclose(feats.frames * feats.norm_scale, raw.frames, atol=1e-9)
+        raw = feats.frames * feats.norm_scale
+        assert np.allclose(raw.std(axis=0), feats.norm_scale, rtol=1e-12)
+        target = fe.target_spectrum(speech).frames[:raw.shape[0]]
+        assert np.max(np.abs(raw[:, :512] - target)) < 1e-9
+
+    def test_silence_keeps_unit_scale(self):
+        feats, _ = fe.assemble_features(fe.Waveform(np.zeros(3200)))
+        assert np.all(feats.norm_scale == 1.0)
+        assert np.all(feats.frames[:, :512] == np.log(1e-10))
 
     def test_translation_covariance(self, speech):
         shifted = fe.Waveform(speech.samples[160:])
-        a, _ = fe.assemble_features(speech, normalize=False)
-        b, _ = fe.assemble_features(shifted, normalize=False)
-        n = b.frames.shape[0]
-        assert np.max(np.abs(a.frames[1:n + 1] - b.frames[:n])) < 1e-6
+        a = raw_features(speech)
+        b = raw_features(shifted)
+        n = b.shape[0]
+        assert np.max(np.abs(a[1:n + 1] - b[:n])) < 1e-6
 
     def test_log_fft_and_phase_match_full_fft_oracle(self, speech):
-        feats, phase = fe.assemble_features(speech, normalize=False)
-        n = feats.frames.shape[0]
+        feats, phase = fe.assemble_features(speech)
+        raw = feats.frames * feats.norm_scale
+        n = raw.shape[0]
         spectrum = np.fft.fft(fe.frame_signal(speech, 25.0), 512, axis=1)[:n]
         oracle = np.log(np.maximum(np.abs(spectrum), 1e-10))
-        assert np.max(np.abs(feats.frames[:, :512] - oracle)) < 1e-9
+        assert np.max(np.abs(raw[:, :512] - oracle)) < 1e-9
         assert np.max(np.abs(wrapped(phase.frames - np.angle(spectrum[:, :257])))) < 1e-9
 
     def test_too_short_rejected(self):
