@@ -8,7 +8,7 @@ Arrays are kept in whatever float dtype they enter with: training runs in
 float32 (matching the checkpoint wire format), gradient checks in float64.
 Graphs are single-threaded; parameter values are treated as immutable
 during a forward/backward pass. Inside ``no_grad()`` ops build no graph,
-for inference.
+for inference, and batch normalization uses its running statistics.
 """
 
 from __future__ import annotations
@@ -96,13 +96,15 @@ def constant(value) -> Node:
     return Node(np.asarray(value), op="const")
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchNormState:
     """Learnable scale/shift plus running statistics of one BN layer.
 
     Statistics are taken per channel over the time axis and, for batched
     input, the batch axis; the running variance uses the biased estimator.
-    The running-average momentum and the variance epsilon are fixed.
+    The running-average momentum and the variance epsilon are fixed. Which
+    statistics normalize is the graph mode (see ``batchnorm1d``), not a
+    field; slots make setting any other attribute an error.
     """
 
     momentum: ClassVar[float] = 0.1
@@ -112,7 +114,6 @@ class BatchNormState:
     beta: Node
     running_mean: Array
     running_var: Array
-    training: bool = True
 
     def __post_init__(self):
         if np.any(self.running_var < 0):
@@ -198,9 +199,10 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
 def batchnorm1d(x: Node, state: BatchNormState) -> Node:
     """Per-channel normalization over the time (and batch) axes.
 
-    Training mode normalizes with the batch statistics and folds them into
-    the running estimates; inference mode normalizes with the running
-    estimates. Differentiable w.r.t. input, gamma and beta.
+    Building a graph, it normalizes with the batch statistics and folds
+    them into the running estimates; inside ``no_grad`` it normalizes with
+    the running estimates and changes nothing. Differentiable w.r.t. input,
+    gamma and beta.
     """
     xv, unbatched = _as_batched(x.value, "batchnorm1d")
     b, c, t = xv.shape
@@ -208,9 +210,9 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
     if gamma.value.shape != (c,):
         raise ValueError(f"batchnorm1d: state has {gamma.value.shape[0]} channels, input has {c}")
 
-    if state.training:
+    if _grad_enabled:
         if b * t < 2:
-            raise ValueError("batchnorm1d: training mode needs at least 2 samples per channel")
+            raise ValueError("batchnorm1d: batch statistics need at least 2 samples per channel")
         mu = xv.mean(axis=(0, 2))
         xc = xv - mu[:, None]
         var = np.mean(xc * xc, axis=(0, 2))
@@ -224,7 +226,6 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
     out = gamma.value[:, None] * xhat + beta.value[:, None]
 
     m = b * t
-    in_training = state.training
 
     def backward(g: Array) -> None:
         g3 = g if g.ndim == 3 else g[None]
@@ -234,12 +235,9 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
             gamma.ensure_grad()[...] += (g3 * xhat).sum(axis=(0, 2))
         if x.requires_grad:
             dxhat = g3 * gamma.value[:, None]
-            if in_training:
-                s1 = dxhat.sum(axis=(0, 2))
-                s2 = (dxhat * xhat).sum(axis=(0, 2))
-                dx = (dxhat - (s1[:, None] + xhat * s2[:, None]) / m) * inv_std[:, None]
-            else:
-                dx = dxhat * inv_std[:, None]
+            s1 = dxhat.sum(axis=(0, 2))
+            s2 = (dxhat * xhat).sum(axis=(0, 2))
+            dx = (dxhat - (s1[:, None] + xhat * s2[:, None]) / m) * inv_std[:, None]
             x.ensure_grad()[...] += dx[0] if unbatched else dx
 
     return Node(

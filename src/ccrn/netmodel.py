@@ -47,6 +47,8 @@ class ModelConfig:
             raise ValueError(f"block count must be >= 1, got {self.blocks}")
         if self.channels < 1 or self.input_dim < 1:
             raise ValueError("channel counts must be positive")
+        if FFT_BINS % self.channels:
+            raise ValueError(f"channels must divide {FFT_BINS}, got {self.channels}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel size must be odd and positive, got {self.kernel}")
         if self.kind == KIND_CCRN_STATE and self.state_step < 1:
@@ -230,10 +232,11 @@ def forward(
 ) -> tuple[LogSpectrogram, ProbeTrace | None]:
     """Enhance one feature sequence; optionally return every block's probe.
 
-    Inference only: the pass builds no graph (``diffcore.no_grad``), so
-    train through ``forward_nodes``. Reduced-width models work in a folded
-    spectral domain internally; outputs and probes are always expanded
-    back to the full 512 bins.
+    Inference only: the pass builds no graph (``diffcore.no_grad``), batch
+    normalization uses the running statistics, and the model is left
+    unchanged; train through ``forward_nodes``. Reduced-width models work
+    in a folded spectral domain internally; outputs and probes are always
+    expanded back to the full 512 bins.
     """
     dtype = model.first_layer.weight.value.dtype
     x = Node(np.ascontiguousarray(feats.frames.T, dtype=dtype))
@@ -251,13 +254,18 @@ def forward(
 
 
 def truncate(model: ModelParams, depth: int) -> ModelParams:
-    """Model view using only the first ``depth`` blocks (parameters shared)."""
+    """Model view using only the first ``depth`` blocks (parameters shared).
+
+    The view's last block has no state output, since nothing would read it.
+    """
     if not 1 <= depth <= model.config.blocks:
         raise ValueError(f"depth must be in [1, {model.config.blocks}], got {depth}")
+    blocks = model.blocks[:depth]
+    blocks[-1] = replace(blocks[-1], out_state=None)
     return ModelParams(
         config=replace(model.config, blocks=depth),
         first_layer=model.first_layer,
-        blocks=model.blocks[:depth],
+        blocks=blocks,
     )
 
 
@@ -276,13 +284,6 @@ def select_depth(per_block_costs: Sequence[float]) -> int:
         if prev > 0 and (prev - cur) / prev >= DEPTH_GAIN:
             selected = l
     return selected
-
-
-def set_training(model: ModelParams, training: bool) -> None:
-    """Switch every BN layer between batch and running statistics."""
-    for block in model.blocks:
-        block.stage1.bn.training = training
-        block.stage2.bn.training = training
 
 
 def named_parameters(model: ModelParams) -> list[tuple[str, Node]]:
@@ -380,9 +381,9 @@ def save_checkpoint(path, model: ModelParams, extra: dict[str, np.ndarray] | Non
 def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
     """Rebuild a model from a CCRN01 checkpoint.
 
-    Returns the model (BN in inference mode) and any arrays in the file
-    that are not model state (e.g. optimizer moments). Every array is read
-    once into the buffer the model then holds. A malformed file raises
+    Returns the model and any arrays in the file that are not model state
+    (e.g. optimizer moments). Every array is read once into the buffer the
+    model then holds. A malformed file raises
     ``ValueError`` naming ``path``: bad magic or kind, a truncated file, a
     duplicate or missing array, or an array whose shape differs from the
     one the config implies.
@@ -417,5 +418,4 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
         model = _assemble(config, take)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
-    set_training(model, False)
     return model, arrays

@@ -252,7 +252,6 @@ def train(
     """
     params = netmodel.named_parameters(model)
     state = opt_state if opt_state is not None else OptimizerState()
-    netmodel.set_training(model, True)
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []

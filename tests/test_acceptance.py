@@ -75,7 +75,6 @@ def enhancement_model():
     cfg = obj.TrainConfig(steps=500, lr=1e-3, alpha=0.1, seed=11, checkpoint_interval=0)
     model = nm.build_model(config, seed=3)
     obj.train(model, corpus, cfg)
-    nm.set_training(model, False)
     return model
 
 
@@ -164,22 +163,22 @@ def test_c3_probe_identities():
     for kind in ("ccrn", "ccrn-state"):
         config = nm.ModelConfig(kind=kind, blocks=4, channels=16, state_step=4, input_dim=20)
         model = nm.build_model(config, seed=2, dtype=np.float64)
-        nm.set_training(model, False)
         x = rng.standard_normal((20, 15))
 
-        out, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
-        assert np.array_equal(probes[-1].value, out.value)
+        with dc.no_grad():
+            out, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
+            assert np.array_equal(probes[-1].value, out.value)
 
-        truncated, _ = nm.forward_nodes(nm.truncate(model, 4), dc.Node(x))
-        assert np.array_equal(truncated.value, out.value)
+            truncated, _ = nm.forward_nodes(nm.truncate(model, 4), dc.Node(x))
+            assert np.array_equal(truncated.value, out.value)
 
-        block = model.blocks[2]
-        for conv in (block.stage1.conv, block.stage2.conv, block.out_res, block.out_state):
-            if conv is not None:
-                conv.weight.value[...] = 0.0
-                conv.bias.value[...] = 0.0
-        _, zeroed = nm.forward_nodes(model, dc.Node(x), want_probes=True)
-        assert np.array_equal(zeroed[2].value, zeroed[1].value)
+            block = model.blocks[2]
+            for conv in (block.stage1.conv, block.stage2.conv, block.out_res, block.out_state):
+                if conv is not None:
+                    conv.weight.value[...] = 0.0
+                    conv.bias.value[...] = 0.0
+            _, zeroed = nm.forward_nodes(model, dc.Node(x), want_probes=True)
+            assert np.array_equal(zeroed[2].value, zeroed[1].value)
     report("C3", "probes[L] == output, truncate(L) == full output, and zeroed "
                  "blocks are bit-exact identities for both architectures")
 
@@ -201,7 +200,6 @@ def test_c4_alpha_zero_bit_identical():
     manual = nm.build_model(config, seed=5)
     params = nm.named_parameters(manual)
     state = obj.OptimizerState()
-    nm.set_training(manual, True)
     for step in range(cfg.steps):
         x_np, y_np = obj._batch(corpus, cfg, step, np.float32, config.channels)
         final, _ = nm.forward_nodes(manual, dc.Node(x_np), want_probes=True)

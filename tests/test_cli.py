@@ -66,6 +66,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("model.kind = transformer")
 
+    def test_channels_must_divide_512(self):
+        with pytest.raises(ConfigError, match="divide 512"):
+            parse_config_text("model.channels = 100")
+
     def test_missing_file_is_validation_error(self):
         assert main(["synth", "--config", "/nonexistent.cfg", "--out", "/tmp/x"]) == 1
 
@@ -229,6 +233,15 @@ class TestTrain:
         assert model.blocks[-1].out_state is None
         assert extra["train.step"][0] == 2
 
+    def test_bad_channels_exit_1_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("model.blocks = 2\nmodel.channels = 100\ntrain.steps = 2\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "divide 512" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "train_log.csv").exists()
+
     @pytest.mark.parametrize("row", ["utt000,clean/utt000.wav", "utt000,clean/utt000.wav,abc"])
     def test_bad_manifest_row_exits_1(self, trained_run, tmp_path, capsys, row):
         manifest = tmp_path / "manifest.csv"
@@ -318,6 +331,23 @@ class TestEnhance:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: {checkpoint}: checkpoint is truncated\n"
+
+    def test_bad_channels_checkpoint_exits_1(self, synth_dir, tmp_path, capsys):
+        path = tmp_path / "channels.bin"
+        nm.save_checkpoint(path, nm.build_model(nm.ModelConfig(blocks=1, channels=4, input_dim=6), seed=7))
+        data = bytearray(path.read_bytes())
+        # magic (6 bytes), kind (1), blocks (u32), then channels (u32)
+        assert data[11:15] == np.array([4], dtype="<u4").tobytes()
+        data[11:15] = np.array([100], dtype="<u4").tobytes()
+        path.write_bytes(bytes(data))
+        code = main([
+            "enhance", "--checkpoint", str(path),
+            "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"), "--out", str(tmp_path / "x.wav"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "divide 512" in err
+        assert not (tmp_path / "x.wav").exists()
 
     def test_bad_blocks_rejected(self, trained_run, synth_dir, tmp_path):
         assert main([

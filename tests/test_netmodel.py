@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="odd"):
             nm.ModelConfig(kernel=4)
 
+    @pytest.mark.parametrize("channels", [100, 768])
+    def test_channels_must_divide_512(self, channels):
+        with pytest.raises(ValueError, match="divide 512"):
+            nm.ModelConfig(channels=channels)
+
 
 class TestBuild:
     def test_parameter_count_closed_form(self):
@@ -137,7 +142,6 @@ class TestForward:
     def test_public_forward_returns_full_spectra(self):
         rng = np.random.default_rng(35)
         model = nm.build_model(nm.ModelConfig(blocks=2, channels=128), seed=1)
-        nm.set_training(model, False)
         feats = tiny_features(rng)
         out, trace = nm.forward(model, feats, want_probes=True)
         assert out.frames.shape == (20, 512)
@@ -148,7 +152,6 @@ class TestForward:
     def test_public_forward_builds_no_graph(self, monkeypatch):
         rng = np.random.default_rng(39)
         model = nm.build_model(nm.ModelConfig(blocks=3, channels=128), seed=1)
-        nm.set_training(model, False)
         feats = tiny_features(rng)
         built = []
         forward_nodes = nm.forward_nodes
@@ -162,15 +165,33 @@ class TestForward:
         out, trace = nm.forward(model, feats, want_probes=True)
         monkeypatch.undo()
         assert built and all(n.parents == () and n._backward is None for n in built)
-        # inference mode changes no value: bit-exact with the graph-building pass
-        x = dc.Node(np.ascontiguousarray(feats.frames.T, dtype=np.float32))
-        graph_out, _ = nm.forward_nodes(model, x)
-        assert graph_out._backward is not None
         assert np.array_equal(out.frames, nm.forward(model, feats)[0].frames)
-        assert np.array_equal(out.frames[:, ::4].T, graph_out.value.astype(np.float64))
         for depth in (1, 2, 3):
             truncated, _ = nm.forward(nm.truncate(model, depth), feats)
             assert np.array_equal(truncated.frames, trace[depth - 1].frames)
+
+    @pytest.mark.parametrize("kind", ["ccrn", "ccrn-state"])
+    def test_public_forward_changes_no_array(self, kind):
+        rng = np.random.default_rng(40)
+        model = nm.build_model(nm.ModelConfig(kind=kind, blocks=2, channels=64, state_step=4), seed=1)
+        before = [(name, arr.copy()) for name, arr in nm.named_arrays(model)]
+        nm.forward(model, tiny_features(rng), want_probes=True)
+        for (name, saved), (_, arr) in zip(before, nm.named_arrays(model)):
+            assert np.array_equal(arr, saved), name
+
+    @pytest.mark.parametrize("kind", ["ccrn", "ccrn-state"])
+    def test_public_forward_equals_checkpoint_copy(self, tmp_path, kind):
+        rng = np.random.default_rng(41)
+        model = nm.build_model(nm.ModelConfig(kind=kind, blocks=2, channels=64, state_step=4), seed=1)
+        feats = tiny_features(rng)
+        path = tmp_path / "model.bin"
+        nm.save_checkpoint(path, model)
+        loaded, _ = nm.load_checkpoint(path)
+        out, trace = nm.forward(model, feats, want_probes=True)
+        loaded_out, loaded_trace = nm.forward(loaded, feats, want_probes=True)
+        assert np.array_equal(out.frames, loaded_out.frames)
+        for probe, loaded_probe in zip(trace.outputs, loaded_trace.outputs):
+            assert np.array_equal(probe.frames, loaded_probe.frames)
 
 
 class TestTruncate:
@@ -178,21 +199,32 @@ class TestTruncate:
     def test_prefix_property(self, kind):
         rng = np.random.default_rng(36)
         model = nm.build_model(tiny_config(kind, blocks=4), seed=5, dtype=np.float64)
-        nm.set_training(model, False)
         x = rng.standard_normal((10, 13))
-        _, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
-        for depth in (1, 2, 3, 4):
-            out, _ = nm.forward_nodes(nm.truncate(model, depth), dc.Node(x))
-            assert np.array_equal(out.value, probes[depth - 1].value)
+        with dc.no_grad():
+            _, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
+            for depth in (1, 2, 3, 4):
+                out, _ = nm.forward_nodes(nm.truncate(model, depth), dc.Node(x))
+                assert np.array_equal(out.value, probes[depth - 1].value)
 
     def test_full_depth_is_noop(self):
         rng = np.random.default_rng(37)
         model = nm.build_model(tiny_config(), seed=5, dtype=np.float64)
-        nm.set_training(model, False)
         x = rng.standard_normal((10, 13))
-        full, _ = nm.forward_nodes(model, dc.Node(x))
-        trunc, _ = nm.forward_nodes(nm.truncate(model, 3), dc.Node(x))
+        with dc.no_grad():
+            full, _ = nm.forward_nodes(model, dc.Node(x))
+            trunc, _ = nm.forward_nodes(nm.truncate(model, 3), dc.Node(x))
         assert np.array_equal(full.value, trunc.value)
+
+    def test_state_view_drops_last_state_output(self):
+        model = nm.build_model(tiny_config("ccrn-state", blocks=3), seed=5)
+        view = nm.truncate(model, 2)
+        assert view.blocks[-1].out_state is None
+        assert [name for name, _ in nm.named_parameters(view) if "out_state" in name] == [
+            "block01.out_state.weight", "block01.out_state.bias",
+        ]
+        # the view shares parameters and leaves the full model as it was
+        assert view.blocks[-1].out_res is model.blocks[1].out_res
+        assert model.blocks[1].out_state is not None
 
     def test_out_of_range_rejected(self):
         model = nm.build_model(tiny_config(), seed=5)
@@ -234,7 +266,6 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(nm.named_arrays(model), nm.named_arrays(loaded)):
             assert np.array_equal(a, b), name
         assert extra["opt.t"][0] == 3.0
-        assert loaded.blocks[0].stage1.bn.training is False
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.bin"

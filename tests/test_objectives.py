@@ -284,7 +284,6 @@ class TestTrain:
         manual = nm.build_model(config, seed=3)
         params = nm.named_parameters(manual)
         state = obj.OptimizerState()
-        nm.set_training(manual, True)
         for step in range(cfg.steps):
             x_np, y_np = obj._batch(small_corpus, cfg, step, np.float32, config.channels)
             final, _ = nm.forward_nodes(manual, dc.Node(x_np), want_probes=True)
