@@ -337,8 +337,8 @@ def cmd_gradcheck(step: float) -> int:
         rng = np.random.default_rng(44)
         config = ModelConfig(kind=kind, blocks=2, channels=8, state_step=4, input_dim=12)
         model = netmodel.build_model(config, seed=1, dtype=np.float64)
-        x = rng.standard_normal((config.input_dim, 12))
-        target = rng.standard_normal((config.channels, 12))
+        x = rng.standard_normal((12, config.input_dim))
+        target = rng.standard_normal((12, config.channels))
 
         def loss_fn():
             _, probes = netmodel.forward_nodes(model, diffcore.Node(x), want_probes=True)

@@ -4,8 +4,12 @@ Provides exactly the layer set the enhancement networks need (1-D
 convolution, batch normalization, PReLU, residual/concat/cost glue), a
 deterministic backward pass, and finite-difference gradient checking.
 
-Arrays are kept in whatever float dtype they enter with: training runs in
-float32 (matching the checkpoint wire format), gradient checks in float64.
+Activations are time-major: one example is (T, C) and a batch (B, T, C),
+with channels on the last axis, so per-channel ops broadcast over it and
+reduce over the others. Convolution weights keep the checkpoint layout
+(C_out, C_in, k). Arrays are kept in whatever float dtype they enter
+with: training runs in float32 (matching the checkpoint wire format),
+gradient checks in float64.
 Graphs are single-threaded; parameter values are treated as immutable
 during a forward/backward pass. Inside ``no_grad()`` ops build no graph,
 for inference, and batch normalization uses its running statistics.
@@ -130,28 +134,30 @@ def batchnorm_state(channels: int, dtype=np.float32) -> BatchNormState:
     )
 
 
-def _as_batched(a: Array, what: str) -> tuple[Array, bool]:
-    """View ``a`` as (batch, channels, time); return (view, had_no_batch)."""
-    if a.ndim == 2:
-        return a[None], True
-    if a.ndim == 3:
-        return a, False
-    raise ValueError(f"{what}: expected a (C, T) or (B, C, T) array, got shape {a.shape}")
+def _channel_axes(a: Array, what: str) -> tuple[int, ...]:
+    """The axes a per-channel op reduces over: all but the last (channel) axis."""
+    if a.ndim not in (2, 3):
+        raise ValueError(f"{what}: expected a (T, C) or (B, T, C) array, got shape {a.shape}")
+    return tuple(range(a.ndim - 1))
 
 
 def conv1d(x: Node, weight: Node, bias: Node) -> Node:
-    """1-D convolution (cross-correlation) along the time axis, as k shifted matmuls.
+    """1-D convolution (cross-correlation) along the time axis, one flat GEMM per tap.
 
-    weight is (C_out, C_in, k) with k odd; the input is zero-padded by
-    p = (k-1)/2 frames at both ends, so the output keeps the input length
-    T. With x_pad the padded input:
+    x is (T, C_in) or (B, T, C_in); weight is (C_out, C_in, k) with k odd
+    (the checkpoint layout; tap j is read as the view ``W[:, :, j].T``).
+    Each example is zero-padded by p = (k-1)/2 frames at both ends, so the
+    output keeps the input length T, and the padded batch is flattened to
+    X of shape (B*(T+2p), C_in). With R = B*(T+2p) - 2p:
 
-        out = bias + sum_j W[:, :, j] @ x_pad[..., j:j+T]
+        out_flat[:R] = bias + sum_j X[j:j+R] @ W[:, :, j].T
 
-    The backward pass reads the same sum in reverse,
-    dW[:, :, j] = sum_b g @ x_pad[..., j:j+T]^T and
-    dx_pad[..., j:j+T] += W[:, :, j]^T @ g, then crops the padding.
-    Differentiable w.r.t. input, weight and bias.
+    Row b*(T+2p) + t of out_flat is output frame t of example b; the 2p
+    rows after each example's T frames mix two examples and are dropped.
+    The backward pass reads the same sum in reverse, with the output
+    gradient G zero on the dropped rows:
+    dW[:, :, j] = G[:R].T @ X[j:j+R] and dX[j:j+R] += G[:R] @ W[:, :, j],
+    then crops the padding. Differentiable w.r.t. input, weight and bias.
     """
     w = weight.value
     if w.ndim != 3:
@@ -160,32 +166,43 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     if k % 2 == 0:
         raise ValueError(f"conv1d: kernel size must be odd, got {k}")
     padding = (k - 1) // 2
-    xv, unbatched = _as_batched(x.value, "conv1d")
-    _, c, t = xv.shape
+    _channel_axes(x.value, "conv1d")
+    unbatched = x.value.ndim == 2
+    xv = x.value[None] if unbatched else x.value
+    b, t, c = xv.shape
     if c != c_in:
         raise ValueError(f"conv1d: input has {c} channels but weight expects {c_in}")
     if t < 1:
         raise ValueError("conv1d: 0 frames are too few, need at least 1")
 
-    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
-    out3 = w[:, :, 0] @ xp[:, :, :t]
+    span = t + 2 * padding
+    rows = b * span - 2 * padding
+    flat = np.pad(xv, ((0, 0), (padding, padding), (0, 0))).reshape(b * span, c_in)
+    out = np.empty((b * span, c_out), dtype=np.result_type(flat, w))
+    np.matmul(flat[:rows], w[:, :, 0].T, out=out[:rows])
     for j in range(1, k):
-        out3 += w[:, :, j] @ xp[:, :, j:j + t]
-    out3 += bias.value[:, None]
+        out[:rows] += flat[j:j + rows] @ w[:, :, j].T
+    out[:rows] += bias.value
+    out3 = out.reshape(b, span, c_out)[:, :t]
 
     def backward(g: Array) -> None:
-        g3 = g if g.ndim == 3 else g[None]
+        g3 = g[None] if unbatched else g
         if bias.requires_grad:
-            bias.ensure_grad()[...] += g3.sum(axis=(0, 2))
+            bias.ensure_grad()[...] += g3.sum(axis=(0, 1))
+        if not (weight.requires_grad or x.requires_grad):
+            return
+        gflat = np.zeros((b * span, c_out), dtype=g.dtype)
+        gflat.reshape(b, span, c_out)[:, :t] = g3
+        gflat = gflat[:rows]
         if weight.requires_grad:
             dw = weight.ensure_grad()
             for j in range(k):
-                dw[:, :, j] += (g3 @ xp[:, :, j:j + t].transpose(0, 2, 1)).sum(axis=0)
+                dw[:, :, j] += gflat.T @ flat[j:j + rows]
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dflat = np.zeros_like(flat)
             for j in range(k):
-                dxp[:, :, j:j + t] += w[:, :, j].T @ g3
-            dx = dxp[:, :, padding:padding + t]
+                dflat[j:j + rows] += gflat @ w[:, :, j]
+            dx = dflat.reshape(b, span, c_in)[:, padding:padding + t]
             x.ensure_grad()[...] += dx[0] if unbatched else dx
 
     return Node(
@@ -197,84 +214,81 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
 
 
 def batchnorm1d(x: Node, state: BatchNormState) -> Node:
-    """Per-channel normalization over the time (and batch) axes.
+    """Per-channel normalization of a (T, C) or (B, T, C) input over all but the last axis.
 
     Building a graph, it normalizes with the batch statistics and folds
     them into the running estimates; inside ``no_grad`` it normalizes with
     the running estimates and changes nothing. Differentiable w.r.t. input,
     gamma and beta.
     """
-    xv, unbatched = _as_batched(x.value, "batchnorm1d")
-    b, c, t = xv.shape
+    xv = x.value
+    axes = _channel_axes(xv, "batchnorm1d")
+    c = xv.shape[-1]
     gamma, beta = state.gamma, state.beta
     if gamma.value.shape != (c,):
         raise ValueError(f"batchnorm1d: state has {gamma.value.shape[0]} channels, input has {c}")
+    m = math.prod(xv.shape[:-1])
 
     if _grad_enabled:
-        if b * t < 2:
+        if m < 2:
             raise ValueError("batchnorm1d: batch statistics need at least 2 samples per channel")
-        mu = xv.mean(axis=(0, 2))
-        xc = xv - mu[:, None]
-        var = np.mean(xc * xc, axis=(0, 2))
+        mu = xv.mean(axis=axes)
+        xhat = xv - mu
+        var = np.mean(xhat * xhat, axis=axes)
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = xc * inv_std[:, None]
+        xhat *= inv_std
         state.running_mean += state.momentum * (mu - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
     else:
         inv_std = (1.0 / np.sqrt(state.running_var + state.eps)).astype(xv.dtype)
-        xhat = (xv - state.running_mean[:, None]) * inv_std[:, None]
-    out = gamma.value[:, None] * xhat + beta.value[:, None]
-
-    m = b * t
+        xhat = (xv - state.running_mean) * inv_std
+    out = gamma.value * xhat + beta.value
 
     def backward(g: Array) -> None:
-        g3 = g if g.ndim == 3 else g[None]
         if beta.requires_grad:
-            beta.ensure_grad()[...] += g3.sum(axis=(0, 2))
+            beta.ensure_grad()[...] += g.sum(axis=axes)
         if gamma.requires_grad:
-            gamma.ensure_grad()[...] += (g3 * xhat).sum(axis=(0, 2))
+            gamma.ensure_grad()[...] += (g * xhat).sum(axis=axes)
         if x.requires_grad:
-            dxhat = g3 * gamma.value[:, None]
-            s1 = dxhat.sum(axis=(0, 2))
-            s2 = (dxhat * xhat).sum(axis=(0, 2))
-            dx = (dxhat - (s1[:, None] + xhat * s2[:, None]) / m) * inv_std[:, None]
-            x.ensure_grad()[...] += dx[0] if unbatched else dx
+            dxhat = g * gamma.value
+            s1 = dxhat.sum(axis=axes)
+            s2 = (dxhat * xhat).sum(axis=axes)
+            dx = (dxhat - (s1 + xhat * s2) / m) * inv_std
+            x.ensure_grad()[...] += dx
 
-    return Node(
-        out[0] if unbatched else out,
-        parents=(x, gamma, beta),
-        backward=backward,
-        op="batchnorm1d",
-    )
+    return Node(out, parents=(x, gamma, beta), backward=backward, op="batchnorm1d")
 
 
 def prelu(x: Node, slope: Node) -> Node:
-    """PReLU with one learnable slope per channel.
+    """PReLU with one learnable slope per channel (the last axis).
 
-    out = x where x > 0, else slope_c * x. At x = 0 the gradient takes the
-    negative-branch slope (fixed subgradient choice).
+    out = max(x, 0) + slope_c * min(x, 0), which is x where x > 0 and
+    slope_c * x elsewhere. At x = 0 (either sign) the gradient takes the
+    negative-branch slope, and the slope's gradient gets 0 (fixed
+    subgradient choice). The backward pass keeps no array but x: it
+    recomputes the branch from x's sign, with mask arithmetic rather than a
+    masked copy, since a masked copy branches on every element.
     """
-    xv, unbatched = _as_batched(x.value, "prelu")
-    c = xv.shape[1]
-    if slope.value.shape != (c,):
-        raise ValueError(f"prelu: slope has shape {slope.value.shape}, input has {c} channels")
-    positive = xv > 0
-    out = np.where(positive, xv, slope.value[:, None] * xv)
+    xv = x.value
+    axes = _channel_axes(xv, "prelu")
+    s = slope.value
+    if s.shape != (xv.shape[-1],):
+        raise ValueError(f"prelu: slope has shape {s.shape}, input has {xv.shape[-1]} channels")
+    out = np.minimum(xv, 0)
+    out *= s
+    out += np.maximum(xv, 0)
 
     def backward(g: Array) -> None:
-        g3 = g if g.ndim == 3 else g[None]
         if slope.requires_grad:
-            slope.ensure_grad()[...] += np.where(positive, 0.0, g3 * xv).sum(axis=(0, 2))
+            slope.ensure_grad()[...] += (g * np.minimum(xv, 0)).sum(axis=axes)
         if x.requires_grad:
-            dx = np.where(positive, g3, g3 * slope.value[:, None])
-            x.ensure_grad()[...] += dx[0] if unbatched else dx
+            positive = xv > 0
+            dx = s * ~positive  # derivative: slope_c where x <= 0, 0 elsewhere
+            dx += positive  # and 1 where x > 0
+            dx *= g
+            x.ensure_grad()[...] += dx
 
-    return Node(
-        out[0] if unbatched else out,
-        parents=(x, slope),
-        backward=backward,
-        op="prelu",
-    )
+    return Node(out, parents=(x, slope), backward=backward, op="prelu")
 
 
 def add(a: Node, b: Node) -> Node:
@@ -292,19 +306,19 @@ def add(a: Node, b: Node) -> Node:
 
 
 def concat_channels(a: Node, b: Node) -> Node:
-    """Stack two nodes along the channel axis (second to last)."""
+    """Stack two nodes along the channel axis (the last)."""
     if a.value.ndim != b.value.ndim:
         raise ValueError("concat_channels: rank mismatch")
-    ca = a.value.shape[-2]
+    ca = a.value.shape[-1]
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.ensure_grad()[...] += g[..., :ca, :]
+            a.ensure_grad()[...] += g[..., :ca]
         if b.requires_grad:
-            b.ensure_grad()[...] += g[..., ca:, :]
+            b.ensure_grad()[...] += g[..., ca:]
 
     return Node(
-        np.concatenate([a.value, b.value], axis=-2),
+        np.concatenate([a.value, b.value], axis=-1),
         parents=(a, b),
         backward=backward,
         op="concat",

@@ -213,8 +213,8 @@ def block_forward(block: BlockParams, residual: Node, state: Node | None = None)
 
 
 def forward_nodes(model: ModelParams, x: Node, want_probes: bool = False) -> tuple[Node, list[Node]]:
-    """Graph-level forward pass on a (C, T) or (B, C, T) input node."""
-    channels = x.value.shape[-2]
+    """Graph-level forward pass on a (T, C) or (B, T, C) input node."""
+    channels = x.value.shape[-1]
     if channels != model.config.input_dim:
         raise ValueError(f"input has {channels} feature channels, model expects {model.config.input_dim}")
     h = _apply_conv(model.first_layer, x)
@@ -239,15 +239,15 @@ def forward(
     expanded back to the full 512 bins.
     """
     dtype = model.first_layer.weight.value.dtype
-    x = Node(np.ascontiguousarray(feats.frames.T, dtype=dtype))
+    x = Node(np.asarray(feats.frames, dtype=dtype))
     with diffcore.no_grad():
         out, probes = forward_nodes(model, x, want_probes)
 
     def to_spectrogram(node: Node) -> LogSpectrogram:
-        frames = node.value.T
+        frames = node.value
         if frames.shape[1] != FFT_BINS:
             frames = unfold_spectrum(frames)
-        return LogSpectrogram(np.ascontiguousarray(frames, dtype=np.float64))
+        return LogSpectrogram(frames.astype(np.float64))
 
     trace = ProbeTrace([to_spectrogram(p) for p in probes]) if want_probes else None
     return to_spectrogram(out), trace

@@ -53,12 +53,17 @@ class TrainConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
+        for name in ("alpha", "lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.seq_len < 2:
             raise ValueError(f"sequence length must be >= 2, got {self.seq_len}")
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
         if self.steps > MAX_STEPS:
@@ -225,9 +230,9 @@ def _batch(
     for j in range(cfg.batch_size):
         f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets)
         target = y.frames if n_bands == y.frames.shape[1] else frontend.fold_spectrum(y.frames, n_bands)
-        feats.append(f.frames.T)
-        targets.append(target.T)
-    return np.stack(feats).astype(dtype), np.stack(targets).astype(dtype)
+        feats.append(f.frames)
+        targets.append(target)
+    return np.stack(feats, dtype=dtype), np.stack(targets, dtype=dtype)
 
 
 def train(

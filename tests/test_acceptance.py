@@ -88,8 +88,8 @@ def test_c1_gradient_fidelity():
     rng = np.random.default_rng(44)
 
     # individual layers
-    x = dc.parameter(rng.standard_normal((3, 16)))
-    target = rng.standard_normal((3, 16))
+    x = dc.parameter(rng.standard_normal((16, 3)))
+    target = rng.standard_normal((16, 3))
     w = dc.parameter(rng.standard_normal((3, 3, 3)) * 0.4)
     b = dc.parameter(rng.standard_normal(3) * 0.1)
     worst = max(worst, dc.grad_check(lambda: dc.mse(dc.conv1d(x, w, b), target), [x, w, b]))
@@ -108,7 +108,7 @@ def test_c1_gradient_fidelity():
         config = nm.ModelConfig(kind=kind, blocks=2, channels=8, state_step=4, input_dim=12)
         model = nm.build_model(config, seed=1, dtype=np.float64)
         xv = data_rng.standard_normal((12, 12))
-        yv = data_rng.standard_normal((8, 12))
+        yv = data_rng.standard_normal((12, 8))
 
         def plain_loss():
             final, _ = nm.forward_nodes(model, dc.Node(xv), want_probes=False)
@@ -163,7 +163,7 @@ def test_c3_probe_identities():
     for kind in ("ccrn", "ccrn-state"):
         config = nm.ModelConfig(kind=kind, blocks=4, channels=16, state_step=4, input_dim=20)
         model = nm.build_model(config, seed=2, dtype=np.float64)
-        x = rng.standard_normal((20, 15))
+        x = rng.standard_normal((15, 20))
 
         with dc.no_grad():
             out, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
@@ -332,19 +332,21 @@ def test_c9_determinism(tmp_path):
 
 
 def conv1d_loops(x, w, b, padding):
+    if x.ndim == 3:
+        return np.stack([conv1d_loops(example, w, b, padding) for example in x])
     c_out, c_in, k = w.shape
-    c, t = x.shape
-    xp = np.zeros((c, t + 2 * padding))
-    xp[:, padding:padding + t] = x
+    t, c = x.shape
+    xp = np.zeros((t + 2 * padding, c))
+    xp[padding:padding + t] = x
     t_out = t + 2 * padding - k + 1
-    out = np.zeros((c_out, t_out))
+    out = np.zeros((t_out, c_out))
     for o in range(c_out):
         for tt in range(t_out):
             acc = 0.0
             for i in range(c_in):
                 for j in range(k):
-                    acc += xp[i, tt + j] * w[o, i, j]
-            out[o, tt] = acc + b[o]
+                    acc += xp[tt + j, i] * w[o, i, j]
+            out[tt, o] = acc + b[o]
     return out
 
 
@@ -384,11 +386,12 @@ def test_c10_oracle_equivalence():
     start = time.time()
     rng = np.random.default_rng(66)
 
-    for _ in range(100):
+    for i in range(100):
         c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         k = int(rng.choice([1, 3, 5]))
         t = int(rng.integers(k, 13))
-        x = rng.standard_normal((c_in, t))
+        batch = ((), (1,), (3,))[i % 3]
+        x = rng.standard_normal(batch + (t, c_in))
         w = rng.standard_normal((c_out, c_in, k))
         b = rng.standard_normal(c_out)
         got = dc.conv1d(dc.constant(x), dc.parameter(w), dc.parameter(b)).value
@@ -418,5 +421,5 @@ def test_c10_oracle_equivalence():
 
     elapsed = time.time() - start
     assert elapsed < 120.0
-    report("C10", f"conv1d, cost, cepstra, and AdamW(wd=0) match their oracles on "
-                  f"100 randomized instances each ({elapsed:.0f}s)")
+    report("C10", f"conv1d (unbatched and batches of 1 and 3), cost, cepstra, and AdamW(wd=0) "
+                  f"match their oracles on 100 randomized instances each ({elapsed:.0f}s)")

@@ -242,6 +242,16 @@ class TestTrain:
         assert "divide 512" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("line", ["train.lr = nan", "train.alpha = nan", "train.weight_decay = -1"])
+    def test_bad_train_setting_exits_1_before_any_output(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"model.blocks = 2\nmodel.channels = 128\ntrain.steps = 2\n{line}\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("row", ["utt000,clean/utt000.wav", "utt000,clean/utt000.wav,abc"])
     def test_bad_manifest_row_exits_1(self, trained_run, tmp_path, capsys, row):
         manifest = tmp_path / "manifest.csv"

@@ -7,37 +7,39 @@ from ccrn import diffcore as dc
 
 
 def conv1d_loops(x, w, b, padding):
-    """Nested-loop cross-correlation oracle, written before the main build."""
+    """Nested-loop cross-correlation oracle on a (T, C) or (B, T, C) input."""
+    if x.ndim == 3:
+        return np.stack([conv1d_loops(example, w, b, padding) for example in x])
     c_out, c_in, k = w.shape
-    c, t = x.shape
-    xp = np.zeros((c, t + 2 * padding))
-    xp[:, padding:padding + t] = x
+    t, c = x.shape
+    xp = np.zeros((t + 2 * padding, c))
+    xp[padding:padding + t] = x
     t_out = t + 2 * padding - k + 1
-    out = np.zeros((c_out, t_out))
+    out = np.zeros((t_out, c_out))
     for o in range(c_out):
         for tt in range(t_out):
             acc = 0.0
             for i in range(c_in):
                 for j in range(k):
-                    acc += xp[i, tt + j] * w[o, i, j]
-            out[o, tt] = acc + b[o]
+                    acc += xp[tt + j, i] * w[o, i, j]
+            out[tt, o] = acc + b[o]
     return out
 
 
 class TestConv1d:
     def test_identity_kernel(self):
-        x = dc.constant(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        x = dc.constant(np.array([[1.0], [2.0], [3.0], [4.0]]))
         w = dc.parameter(np.array([[[0.0, 1.0, 0.0]]]))
         b = dc.parameter(np.zeros(1))
         out = dc.conv1d(x, w, b)
-        assert np.array_equal(out.value, [[1.0, 2.0, 3.0, 4.0]])
+        assert np.array_equal(out.value, [[1.0], [2.0], [3.0], [4.0]])
 
     def test_identity_kernel_random_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             c = int(rng.integers(1, 5))
             t = int(rng.integers(3, 17))
-            x = rng.standard_normal((c, t))
+            x = rng.standard_normal((t, c))
             w = np.zeros((c, c, 3))
             for i in range(c):
                 w[i, i, 1] = 1.0
@@ -46,19 +48,20 @@ class TestConv1d:
 
     def test_zero_weight_gives_zero(self):
         rng = np.random.default_rng(1)
-        x = dc.constant(rng.standard_normal((3, 8)))
+        x = dc.constant(rng.standard_normal((8, 3)))
         w = dc.parameter(np.zeros((2, 3, 3)))
         b = dc.parameter(np.zeros(2))
         assert np.all(dc.conv1d(x, w, b).value == 0.0)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
+        for i in range(150):
             c_in = int(rng.integers(1, 5))
             c_out = int(rng.integers(1, 5))
             k = int(rng.choice([1, 3, 5]))
             t = int(rng.integers(1, 17))
-            x = rng.standard_normal((c_in, t))
+            batch = ((), (1,), (3,))[i % 3]
+            x = rng.standard_normal(batch + (t, c_in))
             w = rng.standard_normal((c_out, c_in, k))
             b = rng.standard_normal(c_out)
             got = dc.conv1d(dc.constant(x), dc.parameter(w), dc.parameter(b)).value
@@ -67,7 +70,7 @@ class TestConv1d:
 
     def test_batched_matches_per_example(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 3, 10))
+        x = rng.standard_normal((4, 10, 3))
         w = dc.parameter(rng.standard_normal((2, 3, 3)))
         b = dc.parameter(rng.standard_normal(2))
         batched = dc.conv1d(dc.constant(x), w, b).value
@@ -75,8 +78,32 @@ class TestConv1d:
             single = dc.conv1d(dc.constant(x[i]), w, b).value
             assert np.allclose(batched[i], single, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_examples_do_not_leak_into_neighbours(self, k):
+        # the flat GEMM computes rows that straddle two examples; none may reach the result
+        rng = np.random.default_rng(17)
+        w = dc.parameter(rng.standard_normal((4, 3, k)))
+        b = dc.parameter(rng.standard_normal(4))
+        target = rng.standard_normal((3, 6, 4))
+
+        def run(x):
+            xs = dc.parameter(x)
+            out = dc.conv1d(xs, w, b)
+            dc.backprop(dc.mse(out, target))
+            return out.value, xs.grad
+
+        x = rng.standard_normal((3, 6, 3))
+        changed = x.copy()
+        changed[1] = rng.standard_normal((6, 3)) * 100.0
+        out, dx = run(x)
+        out_changed, dx_changed = run(changed)
+        for i in (0, 2):
+            assert np.array_equal(out[i], out_changed[i])
+            assert np.array_equal(dx[i], dx_changed[i])
+        assert not np.array_equal(out[1], out_changed[1])
+
     def test_channel_mismatch_rejected(self):
-        x = dc.constant(np.zeros((3, 8)))
+        x = dc.constant(np.zeros((8, 3)))
         w = dc.parameter(np.zeros((2, 4, 3)))
         b = dc.parameter(np.zeros(2))
         with pytest.raises(ValueError, match="channels"):
@@ -85,7 +112,7 @@ class TestConv1d:
     def test_zero_frames_rejected(self):
         with pytest.raises(ValueError, match="too few"):
             dc.conv1d(
-                dc.constant(np.zeros((1, 0))),
+                dc.constant(np.zeros((0, 1))),
                 dc.parameter(np.zeros((1, 1, 3))),
                 dc.parameter(np.zeros(1)),
             )
@@ -93,7 +120,7 @@ class TestConv1d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             dc.conv1d(
-                dc.constant(np.zeros((1, 8))),
+                dc.constant(np.zeros((8, 1))),
                 dc.parameter(np.zeros((1, 1, 4))),
                 dc.parameter(np.zeros(1)),
             )
@@ -103,21 +130,21 @@ class TestBatchNorm:
     def test_constant_input_gives_beta(self):
         state = dc.batchnorm_state(3, dtype=np.float64)
         state.beta.value[:] = [1.0, -2.0, 0.5]
-        x = dc.constant(np.full((3, 10), 7.0))
+        x = dc.constant(np.full((10, 3), 7.0))
         out = dc.batchnorm1d(x, state)
-        assert np.allclose(out.value, np.array([1.0, -2.0, 0.5])[:, None], atol=1e-7)
+        assert np.allclose(out.value, np.array([1.0, -2.0, 0.5]), atol=1e-7)
 
     def test_normalized_input_passes_through(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 400))
-        x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+        x = rng.standard_normal((400, 2))
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
         state = dc.batchnorm_state(2, dtype=np.float64)
         out = dc.batchnorm1d(dc.constant(x), state)
         assert np.max(np.abs(out.value - x)) < 1e-4
 
     def test_inference_identity_statistics(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 6))
+        x = rng.standard_normal((6, 3))
         state = dc.batchnorm_state(3, dtype=np.float64)
         with dc.no_grad():
             out = dc.batchnorm1d(dc.constant(x), state)
@@ -125,7 +152,7 @@ class TestBatchNorm:
 
     def test_no_grad_uses_running_stats_and_writes_nothing(self):
         rng = np.random.default_rng(15)
-        x = rng.standard_normal((2, 3, 9)) * 2.0 + 1.0
+        x = rng.standard_normal((2, 9, 3)) * 2.0 + 1.0
         state = dc.batchnorm_state(3, dtype=np.float64)
         state.running_mean[:] = [0.5, -1.0, 2.0]
         state.running_var[:] = [0.25, 4.0, 1.5]
@@ -134,20 +161,20 @@ class TestBatchNorm:
             out = dc.batchnorm1d(dc.constant(x), state)
         assert np.array_equal(state.running_mean, mean)
         assert np.array_equal(state.running_var, var)
-        want = (x - mean[:, None]) / np.sqrt(var[:, None] + state.eps)
+        want = (x - mean) / np.sqrt(var + state.eps)
         assert np.allclose(out.value, want, atol=1e-12)
 
     def test_training_output_statistics(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((4, 128)) * 3.0 + 1.5
+        x = rng.standard_normal((128, 4)) * 3.0 + 1.5
         state = dc.batchnorm_state(4, dtype=np.float64)
         out = dc.batchnorm1d(dc.constant(x), state).value
-        assert np.max(np.abs(out.mean(axis=1))) < 1e-5
-        assert np.max(np.abs(out.var(axis=1) - 1.0)) < 1e-3
+        assert np.max(np.abs(out.mean(axis=0))) < 1e-5
+        assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-3
 
     def test_running_stats_updated(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 50)) + 5.0
+        x = rng.standard_normal((50, 2)) + 5.0
         state = dc.batchnorm_state(2, dtype=np.float64)
         dc.batchnorm1d(dc.constant(x), state)
         assert np.all(state.running_mean > 0.2)
@@ -160,7 +187,7 @@ class TestBatchNorm:
     def test_short_training_input_rejected(self):
         state = dc.batchnorm_state(2, dtype=np.float64)
         with pytest.raises(ValueError, match="2 samples"):
-            dc.batchnorm1d(dc.constant(np.zeros((2, 1))), state)
+            dc.batchnorm1d(dc.constant(np.zeros((1, 2))), state)
 
 
 class TestPrelu:
@@ -176,9 +203,37 @@ class TestPrelu:
 
     def test_unit_slope_is_identity(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((3, 20))
+        x = rng.standard_normal((20, 3))
         out = dc.prelu(dc.constant(x), dc.parameter(np.ones(3)))
         assert np.array_equal(out.value, x)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_kink_takes_negative_branch(self, zero):
+        x = dc.parameter(np.array([[zero, 1.0], [-1.0, zero]]))
+        slope = dc.parameter(np.array([0.25, -0.5]))
+        out = dc.prelu(x, slope)
+        g = np.array([[2.0, 3.0], [5.0, 7.0]])
+        out._backward(g)
+        assert np.array_equal(out.value, [[0.0, 1.0], [-0.25, 0.0]])
+        assert np.array_equal(x.grad, [[0.25 * 2.0, 3.0], [0.25 * 5.0, -0.5 * 7.0]])
+        # the zero inputs add nothing to their slope's gradient
+        assert np.array_equal(slope.grad, [5.0 * -1.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(40, 6), (3, 40, 6)])
+    def test_matches_where_formula_bit_for_bit(self, dtype, shape):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(shape).astype(dtype)
+        s = rng.uniform(-0.5, 1.5, shape[-1]).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        axes = tuple(range(len(shape) - 1))
+        xs, slope = dc.parameter(x), dc.parameter(s)
+        out = dc.prelu(xs, slope)
+        out._backward(g)
+        positive = x > 0
+        assert out.value.tobytes() == np.where(positive, x, s * x).tobytes()
+        assert xs.grad.tobytes() == np.where(positive, g, g * s).tobytes()
+        assert slope.grad.tobytes() == np.where(positive, 0.0, g * x).sum(axis=axes).tobytes()
 
 
 class TestBackprop:
@@ -212,9 +267,9 @@ class TestBackprop:
 
     def test_bit_deterministic(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((4, 12))
+        x = rng.standard_normal((12, 4))
         w = rng.standard_normal((4, 4, 3))
-        target = rng.standard_normal((4, 12))
+        target = rng.standard_normal((12, 4))
 
         def run():
             p = dc.parameter(w.copy())
@@ -232,8 +287,8 @@ class TestBackprop:
 class TestNoGrad:
     @staticmethod
     def small_graph(p, b, s):
-        x = dc.constant(np.linspace(-1.0, 1.0, 24).reshape(2, 12))
-        return dc.mse(dc.prelu(dc.conv1d(x, p, b), s), np.zeros((2, 12)))
+        x = dc.constant(np.linspace(-1.0, 1.0, 24).reshape(12, 2))
+        return dc.mse(dc.prelu(dc.conv1d(x, p, b), s), np.zeros((12, 2)))
 
     @staticmethod
     def params():
@@ -249,7 +304,7 @@ class TestNoGrad:
         p, b, s = params = self.params()
         bn = dc.batchnorm_state(2, dtype=np.float64)
         with dc.no_grad():
-            conv = dc.conv1d(dc.constant(np.ones((2, 12))), p, b)
+            conv = dc.conv1d(dc.constant(np.ones((12, 2))), p, b)
             ops = [conv, dc.batchnorm1d(conv, bn), dc.prelu(conv, s), dc.add(conv, conv),
                    dc.concat_channels(conv, conv), dc.scale(conv, 2.0)]
             ops += [dc.mse(node, np.zeros(node.shape)) for node in ops]
@@ -286,8 +341,8 @@ class TestNoGrad:
 class TestGradCheck:
     def test_linear_layer_mse(self):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 9))
-        target = rng.standard_normal((3, 9))
+        x = rng.standard_normal((9, 2))
+        target = rng.standard_normal((9, 3))
         w = dc.parameter(rng.standard_normal((3, 2, 3)) * 0.4)
         b = dc.parameter(rng.standard_normal(3) * 0.1)
 
@@ -300,10 +355,10 @@ class TestGradCheck:
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_conv_input_gradient(self, batch, padding):
         rng = np.random.default_rng(16)
-        x = dc.parameter(rng.standard_normal(batch + (2, 9)))
+        x = dc.parameter(rng.standard_normal(batch + (9, 2)))
         w = dc.parameter(rng.standard_normal((3, 2, 2 * padding + 1)) * 0.4)
         b = dc.parameter(rng.standard_normal(3) * 0.1)
-        target = rng.standard_normal(batch + (3, 9))
+        target = rng.standard_normal(batch + (9, 3))
 
         def loss_fn():
             return dc.mse(dc.conv1d(x, w, b), target)
@@ -312,9 +367,9 @@ class TestGradCheck:
 
     def test_prelu_away_from_kink(self):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, 8))
+        x = rng.standard_normal((8, 3))
         x = np.where(np.abs(x) < 0.1, 0.5, x)  # margin >> 10*h
-        target = rng.standard_normal((3, 8))
+        target = rng.standard_normal((8, 3))
         xs = dc.parameter(x)
         slope = dc.parameter(np.full(3, 0.25))
 
@@ -325,8 +380,8 @@ class TestGradCheck:
 
     def test_batchnorm_training_gradients(self):
         rng = np.random.default_rng(12)
-        x = dc.parameter(rng.standard_normal((3, 16)))
-        target = rng.standard_normal((3, 16))
+        x = dc.parameter(rng.standard_normal((16, 3)))
+        target = rng.standard_normal((16, 3))
         state = dc.batchnorm_state(3, dtype=np.float64)
 
         def loss_fn():
@@ -336,9 +391,9 @@ class TestGradCheck:
 
     def test_concat_gradients(self):
         rng = np.random.default_rng(14)
-        a = dc.parameter(rng.standard_normal((2, 7)))
-        b = dc.parameter(rng.standard_normal((3, 7)))
-        target = rng.standard_normal((5, 7))
+        a = dc.parameter(rng.standard_normal((7, 2)))
+        b = dc.parameter(rng.standard_normal((7, 3)))
+        target = rng.standard_normal((7, 5))
 
         def loss_fn():
             return dc.mse(dc.concat_channels(a, b), target)

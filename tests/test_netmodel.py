@@ -84,15 +84,15 @@ class TestForward:
     def test_shapes_and_probe_count(self, kind):
         rng = np.random.default_rng(30)
         model = nm.build_model(tiny_config(kind), seed=1, dtype=np.float64)
-        x = dc.Node(rng.standard_normal((10, 17)))
+        x = dc.Node(rng.standard_normal((17, 10)))
         out, probes = nm.forward_nodes(model, x, want_probes=True)
-        assert out.value.shape == (8, 17)
+        assert out.value.shape == (17, 8)
         assert len(probes) == 3
-        assert all(p.value.shape == (8, 17) for p in probes)
+        assert all(p.value.shape == (17, 8) for p in probes)
 
     def test_both_kinds_same_output_shape(self):
         rng = np.random.default_rng(31)
-        x = rng.standard_normal((10, 12))
+        x = rng.standard_normal((12, 10))
         shapes = []
         for kind in ("ccrn", "ccrn-state"):
             model = nm.build_model(tiny_config(kind), seed=1, dtype=np.float64)
@@ -103,7 +103,7 @@ class TestForward:
     def test_last_probe_is_output(self):
         rng = np.random.default_rng(32)
         model = nm.build_model(tiny_config(), seed=1, dtype=np.float64)
-        out, probes = nm.forward_nodes(model, dc.Node(rng.standard_normal((10, 9))), want_probes=True)
+        out, probes = nm.forward_nodes(model, dc.Node(rng.standard_normal((9, 10))), want_probes=True)
         assert probes[-1] is out
 
     @pytest.mark.parametrize("kind", ["ccrn", "ccrn-state"])
@@ -115,19 +115,19 @@ class TestForward:
             if conv is not None:
                 conv.weight.value[...] = 0.0
                 conv.bias.value[...] = 0.0
-        _, probes = nm.forward_nodes(model, dc.Node(rng.standard_normal((10, 9))), want_probes=True)
+        _, probes = nm.forward_nodes(model, dc.Node(rng.standard_normal((9, 10))), want_probes=True)
         assert np.array_equal(probes[1].value, probes[0].value)
 
     def test_width_mismatch_rejected(self):
         model = nm.build_model(tiny_config(), seed=1)
         with pytest.raises(ValueError, match="feature"):
-            nm.forward_nodes(model, dc.Node(np.zeros((11, 9))))
+            nm.forward_nodes(model, dc.Node(np.zeros((9, 11))))
 
     def test_block_matches_manual_composition(self):
         rng = np.random.default_rng(34)
         model = nm.build_model(tiny_config("ccrn", blocks=1), seed=2, dtype=np.float64)
         block = model.blocks[0]
-        x = rng.standard_normal((8, 11))
+        x = rng.standard_normal((11, 8))
         got, _ = nm.block_forward(block, dc.Node(x))
 
         def stage(params, value):
@@ -199,7 +199,7 @@ class TestTruncate:
     def test_prefix_property(self, kind):
         rng = np.random.default_rng(36)
         model = nm.build_model(tiny_config(kind, blocks=4), seed=5, dtype=np.float64)
-        x = rng.standard_normal((10, 13))
+        x = rng.standard_normal((13, 10))
         with dc.no_grad():
             _, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
             for depth in (1, 2, 3, 4):
@@ -209,7 +209,7 @@ class TestTruncate:
     def test_full_depth_is_noop(self):
         rng = np.random.default_rng(37)
         model = nm.build_model(tiny_config(), seed=5, dtype=np.float64)
-        x = rng.standard_normal((10, 13))
+        x = rng.standard_normal((13, 10))
         with dc.no_grad():
             full, _ = nm.forward_nodes(model, dc.Node(x))
             trunc, _ = nm.forward_nodes(nm.truncate(model, 3), dc.Node(x))

@@ -122,7 +122,7 @@ class TestProgressiveCost:
         config = nm.ModelConfig(blocks=2, channels=8, input_dim=12)
         model = nm.build_model(config, seed=1, dtype=np.float64)
         x = rng.standard_normal((12, 12))
-        y = rng.standard_normal((8, 12))
+        y = rng.standard_normal((12, 8))
 
         def loss_fn():
             _, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
@@ -371,6 +371,14 @@ class TestTrain:
         for t, step, name in bad:
             with pytest.raises(ValueError, match=name):
                 obj.resume_state(extra(t, step))
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", np.nan), ("alpha", np.inf), ("lr", np.nan), ("lr", np.inf),
+        ("weight_decay", np.nan), ("weight_decay", np.inf), ("weight_decay", -1.0),
+    ])
+    def test_non_finite_or_negative_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            obj.TrainConfig(**{name: value})
 
     def test_steps_capped_at_exact_float32_counters(self):
         assert obj.TrainConfig(steps=2**24).steps == 2**24
