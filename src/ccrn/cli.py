@@ -42,6 +42,10 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
 
+# longest synthesized utterance; the 75 ms stream's rfft buffer alone is ~100 MB per minute
+MAX_DURATION_S = 60.0
+
+
 @dataclass
 class RunConfig:
     """Union of model, training, and corpus settings plus I/O paths."""
@@ -52,6 +56,10 @@ class RunConfig:
     duration_s: float = 3.0
     corpus_seed: int = 100
     paths: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0.0 < self.duration_s <= MAX_DURATION_S:
+            raise ValueError(f"duration must be in (0, {MAX_DURATION_S:g}] s, got {self.duration_s}")
 
 
 # key -> (section, attribute, coercion)

@@ -191,17 +191,10 @@ def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
     return scipy.fft.dct(np.asarray(log_mel), type=2, norm="ortho", axis=1)
 
 
-def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
-    """Build the 876-dim input features and the 25 ms analysis phase.
+def _features(w: Waveform) -> tuple[FeatureSequence, np.ndarray]:
+    """The 876-dim features of ``assemble_features`` and the 25 ms rfft, both cut to T frames.
 
-    Per frame the layout is: 512 log-FFT bins (25 ms) | 32 mel + 32 cepstra
-    (25 ms) | 50 + 50 (50 ms) | 100 + 100 (75 ms). All streams share the
-    10 ms hop and are truncated to the shortest stream's frame count. Each
-    dimension is then divided by its per-utterance standard deviation
-    (scale only: the features are not centered); a dimension that is
-    constant up to rounding, as in silence, keeps divisor 1. The applied
-    divisors are recorded in ``norm_scale``; ``frames * norm_scale`` gives
-    back the raw features up to rounding.
+    Training uses the features alone and so skips the phase.
     """
     if w.samples.size < _window_samples(75.0):
         raise ValueError("signal shorter than the 75 ms analysis window")
@@ -228,9 +221,25 @@ def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
     scale = np.where(std > CONSTANT_RTOL * np.abs(feats).max(axis=0), std, 1.0)
     feats = feats / scale
 
-    phase = np.angle(spectrum25[:n_frames])
+    return FeatureSequence(feats, scale), spectrum25[:n_frames]
+
+
+def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
+    """Build the 876-dim input features and the 25 ms analysis phase.
+
+    Per frame the layout is: 512 log-FFT bins (25 ms) | 32 mel + 32 cepstra
+    (25 ms) | 50 + 50 (50 ms) | 100 + 100 (75 ms). All streams share the
+    10 ms hop and are truncated to the shortest stream's frame count. Each
+    dimension is then divided by its per-utterance standard deviation
+    (scale only: the features are not centered); a dimension that is
+    constant up to rounding, as in silence, keeps divisor 1. The applied
+    divisors are recorded in ``norm_scale``; ``frames * norm_scale`` gives
+    back the raw features up to rounding.
+    """
+    feats, spectrum25 = _features(w)
+    phase = np.angle(spectrum25)
     phase = np.where(phase <= -np.pi, np.pi, phase)
-    return FeatureSequence(feats, scale), PhaseSpectrogram(phase)
+    return feats, PhaseSpectrogram(phase)
 
 
 def target_spectrum(w: Waveform) -> LogSpectrogram:

@@ -12,11 +12,16 @@ config seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +33,8 @@ from .netmodel import ModelParams
 
 # step counters are stored as float32 in checkpoints, which is exact up to here
 MAX_STEPS = 2**24
+# longest reverberation time: a 10 s RIR is 160k taps, far beyond any room
+MAX_RT60_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,14 @@ class TrainConfig:
             raise ValueError(f"steps must be <= 2**24 (float32 step counters), got {self.steps}")
         if not self.rt60_choices:
             raise ValueError("at least one rt60 value is required")
+        for rt60 in self.rt60_choices:
+            if not 0.0 <= rt60 <= MAX_RT60_S:
+                raise ValueError(f"rt60 values must be in [0, {MAX_RT60_S:g}] s, got {rt60}")
+        for drr in self.drr_choices:
+            if not math.isfinite(drr):
+                raise ValueError(f"drr_db values must be finite, got {drr}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or inf (no noise), got {self.snr_db}")
 
 
 @dataclass
@@ -206,7 +221,7 @@ def sample_example(
             seed=noise_seed,
         )
         noisy = corpus_mod.corrupt(clean, spec)
-        feats, _ = frontend.assemble_features(noisy)
+        feats, _ = frontend._features(noisy)
         n_frames = feats.frames.shape[0]
         if n_frames < cfg.seq_len:
             continue
@@ -226,13 +241,85 @@ def sample_example(
 def _batch(
     corpus, cfg: TrainConfig, step: int, dtype, n_bands: int, clean_targets: dict[int, LogSpectrogram] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    feats, targets = [], []
+    feats = np.empty((cfg.batch_size, cfg.seq_len, frontend.FEATURE_DIM), dtype=dtype)
+    targets = np.empty((cfg.batch_size, cfg.seq_len, n_bands), dtype=dtype)
     for j in range(cfg.batch_size):
         f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets)
-        target = y.frames if n_bands == y.frames.shape[1] else frontend.fold_spectrum(y.frames, n_bands)
-        feats.append(f.frames)
-        targets.append(target)
-    return np.stack(feats, dtype=dtype), np.stack(targets, dtype=dtype)
+        feats[j] = f.frames
+        targets[j] = y.frames if n_bands == y.frames.shape[1] else frontend.fold_spectrum(y.frames, n_bands)
+    return feats, targets
+
+
+@functools.cache
+def _openblas_threads_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if it has none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
+
+    Yields False, and changes nothing, when the thread count cannot be set.
+    """
+    api = _openblas_threads_api()
+    if api is None:
+        yield False
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+# Training overlaps batch synthesis with the network (a prefetch thread,
+# BLAS on one thread) when the model's multiply-adds per frame, its conv
+# weight count, are at most this. One BLAS thread loses once the network
+# dominates the step. Median ms per step, serial at 2 BLAS threads ->
+# prefetch at 1 (ccrn, batch 8 x 200, float32, 2-core AMD EPYC, OpenBLAS
+# 0.3.31; one or two runs of 15 steps each way):
+#   4 x 128    0.73 M    72     ->   62
+#   14 x 128   1.71 M   131     ->  108
+#   4 x 256    2.25 M   118-125 ->  101-103
+#   6 x 256    3.03 M   142-150 ->  140-142
+#   8 x 256    3.82 M   169-178 ->  175-182
+#   4 x 512    7.64 M   244-245 ->  302-309
+#   14 x 512  23.4 M    638     ->  954
+OVERLAP_MAX_MACS = 3_500_000
+
+
+def _conv_macs_per_frame(model: ModelParams) -> int:
+    return sum(node.value.size for name, node in netmodel.named_parameters(model) if name.endswith(".weight"))
+
+
+def _batches(build: Callable[[int], tuple[np.ndarray, np.ndarray]], steps: range, pool: ThreadPoolExecutor | None):
+    """``build(step)`` for each step, in step order.
+
+    With a pool, its one worker builds every batch, each one step ahead of
+    the caller; an error building a batch is raised where that batch is
+    taken.
+    """
+    if pool is None:
+        yield from map(build, steps)
+        return
+    pending = pool.submit(build, steps[0]) if steps else None
+    for step in steps:
+        batch = pending.result()
+        pending = pool.submit(build, step + 1) if step + 1 in steps else None
+        yield batch
 
 
 def train(
@@ -262,18 +349,6 @@ def train(
     reports: list[CostReport] = []
     clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
 
-    log_fh = None
-    writer = None
-    if log_path is not None:
-        kept = []
-        if start_step and os.path.exists(log_path):
-            with open(log_path, newline="") as fh:
-                kept = [row for row in list(csv.reader(fh))[1:] if int(row[0]) < start_step]
-        log_fh = open(log_path, "w", newline="")
-        writer = csv.writer(log_fh)
-        writer.writerow(["step", "total", "main"] + [f"per_block_{l}" for l in range(1, n_blocks + 1)])
-        writer.writerows(kept)
-
     def save(step: int) -> None:
         if checkpoint_path is None:
             return
@@ -283,17 +358,34 @@ def train(
         extra["train.step"] = np.array([step], dtype=np.float32)
         netmodel.save_checkpoint(checkpoint_path, model, extra)
 
-    try:
-        for step in range(start_step, cfg.steps):
-            x_np, y_np = _batch(corpus, cfg, step, dtype, model.config.channels, clean_targets)
-            x = Node(x_np)
-            _, probes = netmodel.forward_nodes(model, x, want_probes=True)
+    def build(step: int) -> tuple[np.ndarray, np.ndarray]:
+        return _batch(corpus, cfg, step, dtype, model.config.channels, clean_targets)
+
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if log_path is not None:
+            kept = []
+            if start_step and os.path.exists(log_path):
+                with open(log_path, newline="") as fh:
+                    kept = [row for row in list(csv.reader(fh))[1:] if int(row[0]) < start_step]
+            writer = csv.writer(stack.enter_context(open(log_path, "w", newline="")))
+            writer.writerow(["step", "total", "main"] + [f"per_block_{l}" for l in range(1, n_blocks + 1)])
+            writer.writerows(kept)
+
+        # the pool is shut down, and then the BLAS count restored, on every exit
+        pool = None
+        if _conv_macs_per_frame(model) <= OVERLAP_MAX_MACS and stack.enter_context(_one_blas_thread()):
+            pool = stack.enter_context(ThreadPoolExecutor(1))
+        steps = range(start_step, cfg.steps)
+        for step, (x_np, y_np) in zip(steps, _batches(build, steps, pool)):
+            _, probes = netmodel.forward_nodes(model, Node(x_np), want_probes=True)
             total, report = cost_graph(probes, y_np, cfg.alpha, cfg.sum_excludes_final)
             if not math.isfinite(report.total):
                 raise TrainingDiverged(f"cost became {report.total} at step {step}")
             diffcore.zero_grads(node for _, node in params)
             diffcore.backprop(total)
             adamw_step(params, state, cfg)
+            del probes, total  # free this step's graph before the next one is built
             reports.append(report)
             if writer is not None:
                 writer.writerow([step, repr(report.total), repr(report.main)] + [repr(c) for c in report.per_block])
@@ -304,9 +396,6 @@ def train(
             if cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0 and step + 1 < cfg.steps:
                 save(step + 1)
         save(cfg.steps)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return reports
 
 

@@ -2,13 +2,16 @@
 
 import argparse
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ccrn
-from ccrn import cli, corpus as cp, frontend as fe, netmodel as nm
+from ccrn import cli, corpus as cp, frontend as fe, netmodel as nm, objectives as obj
 from ccrn.cli import ConfigError, load_config, main, parse_config_text
 
 
@@ -135,7 +138,24 @@ def synth_dir(tmp_path_factory):
     return out / "data"
 
 
+BAD_CORPUS_SETTINGS = [
+    "corpus.rt60 = -1", "corpus.rt60 = nan", "corpus.rt60 = 0.5,11", "corpus.drr_db = 5,inf",
+    "corpus.snr_db = -inf", "corpus.snr_db = nan", "corpus.duration = -1", "corpus.duration = 0",
+    "corpus.duration = nan", "corpus.duration = 61",
+]
+
+
 class TestSynth:
+    @pytest.mark.parametrize("line", BAD_CORPUS_SETTINGS)
+    def test_bad_corpus_setting_exits_1_before_any_output(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"corpus.utterances = 1\n{line}\n")
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: ") and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
     def test_structure(self, synth_dir):
         assert (synth_dir / "manifest.csv").is_file()
         assert len(list((synth_dir / "clean").glob("*.wav"))) == 3
@@ -242,7 +262,10 @@ class TestTrain:
         assert "divide 512" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "train_log.csv").exists()
 
-    @pytest.mark.parametrize("line", ["train.lr = nan", "train.alpha = nan", "train.weight_decay = -1"])
+    @pytest.mark.parametrize("line", [
+        "train.lr = nan", "train.alpha = nan", "train.weight_decay = -1",
+        "corpus.rt60 = -1", "corpus.drr_db = nan", "corpus.snr_db = -inf", "corpus.duration = 1e12",
+    ])
     def test_bad_train_setting_exits_1_before_any_output(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"model.blocks = 2\nmodel.channels = 128\ntrain.steps = 2\n{line}\n")
@@ -251,6 +274,43 @@ class TestTrain:
         assert code == 1
         assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_batch_error_exits_1_keeping_the_last_checkpoint(self, trained_run, tmp_path, capsys, monkeypatch):
+        sample_example = obj.sample_example
+
+        def failing(corpus, cfg, index, **kw):
+            if index // cfg.batch_size == 2:
+                raise ValueError("no example for batch 2")
+            return sample_example(corpus, cfg, index, **kw)
+
+        monkeypatch.setattr(obj, "sample_example", failing)
+        code = main(["train", "--config", str(trained_run / "train.cfg"), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: no example for batch 2\n"
+        _, extra = nm.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert extra["train.step"][0] == 2
+
+    def test_training_bits_do_not_depend_on_blas_thread_count(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "model.blocks = 4\nmodel.channels = 128\n"
+            "train.steps = 3\ntrain.seq_len = 100\ntrain.batch_size = 4\ntrain.lr = 0.001\n"
+            "corpus.utterances = 2\ncorpus.duration = 1.5\n"
+        )
+        src = str(Path(ccrn.__file__).resolve().parent.parent)
+        checkpoints = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "ccrn.cli", "train", "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            checkpoints.append((out / "checkpoint.bin").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     @pytest.mark.parametrize("row", ["utt000,clean/utt000.wav", "utt000,clean/utt000.wav,abc"])
     def test_bad_manifest_row_exits_1(self, trained_run, tmp_path, capsys, row):

@@ -1,5 +1,7 @@
 """Costs, optimizer, example sampling, and the training loop."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -284,13 +286,15 @@ class TestTrain:
         manual = nm.build_model(config, seed=3)
         params = nm.named_parameters(manual)
         state = obj.OptimizerState()
-        for step in range(cfg.steps):
-            x_np, y_np = obj._batch(small_corpus, cfg, step, np.float32, config.channels)
-            final, _ = nm.forward_nodes(manual, dc.Node(x_np), want_probes=True)
-            loss = dc.mse(final, y_np)
-            dc.zero_grads(node for _, node in params)
-            dc.backprop(loss)
-            obj.adamw_step(params, state, cfg)
+        # train runs a model this small at one BLAS thread, whose sums round differently
+        with obj._one_blas_thread():
+            for step in range(cfg.steps):
+                x_np, y_np = obj._batch(small_corpus, cfg, step, np.float32, config.channels)
+                final, _ = nm.forward_nodes(manual, dc.Node(x_np), want_probes=True)
+                loss = dc.mse(final, y_np)
+                dc.zero_grads(node for _, node in params)
+                dc.backprop(loss)
+                obj.adamw_step(params, state, cfg)
 
         for (_, a), (_, b) in zip(nm.named_parameters(trained), params):
             assert np.array_equal(a.value, b.value)
@@ -394,3 +398,111 @@ class TestTrain:
         with pytest.raises((obj.TrainingDiverged, ValueError)):
             obj.train(model, small_corpus, cfg, checkpoint_path=path)
         assert path.exists()  # last good checkpoint retained
+
+
+def blas_threads() -> int:
+    api = obj._openblas_threads_api()
+    if api is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read here")
+    return api[0]()
+
+
+class Watch:
+    """Records, while ``train`` runs, which threads build batches and the BLAS count of each forward pass."""
+
+    def __init__(self, monkeypatch, fail_at_batch=None):
+        self.builders: set[str] = set()
+        self.forward_blas: set[int] = set()
+        sample_example, forward_nodes = obj.sample_example, nm.forward_nodes
+        blas_count = obj._openblas_threads_api()[0]
+
+        def watched_sample(corpus, cfg, index, **kw):
+            self.builders.add(threading.current_thread().name)
+            if index // cfg.batch_size == fail_at_batch:
+                raise ValueError(f"no example for batch {fail_at_batch}")
+            return sample_example(corpus, cfg, index, **kw)
+
+        def watched_forward(*args, **kw):
+            self.forward_blas.add(blas_count())
+            return forward_nodes(*args, **kw)
+
+        monkeypatch.setattr(obj, "sample_example", watched_sample)
+        monkeypatch.setattr(nm, "forward_nodes", watched_forward)
+
+    @property
+    def prefetched(self) -> bool:
+        return threading.current_thread().name not in self.builders
+
+
+def train_outputs(corpus, directory, steps=4):
+    model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=8)
+    obj.train(model, corpus, small_train_config(steps=steps, checkpoint_interval=2),
+              log_path=directory / "log.csv", checkpoint_path=directory / "ck.bin")
+    return (directory / "ck.bin").read_bytes(), (directory / "log.csv").read_bytes()
+
+
+class TestBatchPrefetch:
+    @pytest.mark.parametrize("serial_because", ["model too large", "no BLAS thread api"])
+    def test_serial_run_at_one_blas_thread_gives_the_same_bytes(self, small_corpus, tmp_path, monkeypatch,
+                                                                serial_because):
+        blas_threads()
+        (tmp_path / "prefetched").mkdir()
+        (tmp_path / "serial").mkdir()
+        watch = Watch(monkeypatch)
+        prefetched = train_outputs(small_corpus, tmp_path / "prefetched")
+        assert watch.prefetched and watch.forward_blas == {1}
+
+        watch = Watch(monkeypatch)
+        with obj._one_blas_thread():
+            if serial_because == "model too large":
+                monkeypatch.setattr(obj, "OVERLAP_MAX_MACS", 0)
+            else:
+                monkeypatch.setattr(obj, "_openblas_threads_api", lambda: None)
+            serial = train_outputs(small_corpus, tmp_path / "serial")
+        assert not watch.prefetched and watch.forward_blas == {1}
+        assert serial == prefetched
+
+    @pytest.mark.parametrize("blocks, channels, overlaps", [(4, 128, True), (14, 512, False)])
+    def test_rule_follows_the_model_size(self, monkeypatch, blocks, channels, overlaps):
+        before = blas_threads()
+        model = nm.build_model(nm.ModelConfig(blocks=blocks, channels=channels), seed=1)
+        corpus = [cp.synth_speech(0.5, seed=61)]
+        watch = Watch(monkeypatch)
+        obj.train(model, corpus, small_train_config(steps=2, seq_len=8, batch_size=1))
+        assert watch.prefetched == overlaps
+        assert watch.forward_blas == ({1} if overlaps else {before})
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blas_count_and_threads_restored(self, small_corpus, monkeypatch, fails):
+        get, set_ = obj._openblas_threads_api() or pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("OpenBLAS does not run two threads here")
+            threads = threading.active_count()
+            watch = Watch(monkeypatch, fail_at_batch=2 if fails else None)
+            model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=8)
+            if fails:
+                with pytest.raises(ValueError, match="batch 2"):
+                    obj.train(model, small_corpus, small_train_config(steps=4))
+            else:
+                obj.train(model, small_corpus, small_train_config(steps=4))
+            assert watch.prefetched and watch.forward_blas == {1}
+            assert get() == 2
+            assert threading.active_count() == threads
+        finally:
+            set_(before)
+
+    def test_batch_error_surfaces_at_its_step(self, small_corpus, tmp_path, monkeypatch):
+        blas_threads()
+        (tmp_path / "two_steps").mkdir()
+        two_steps = train_outputs(small_corpus, tmp_path / "two_steps", steps=2)
+
+        watch = Watch(monkeypatch, fail_at_batch=2)
+        with pytest.raises(ValueError, match="batch 2"):
+            train_outputs(small_corpus, tmp_path)
+        assert watch.prefetched
+        # steps 0 and 1 ran and refreshed the checkpoint, as a run of two steps would
+        assert (tmp_path / "ck.bin").read_bytes() == two_steps[0]
+        assert (tmp_path / "log.csv").read_bytes() == two_steps[1]
