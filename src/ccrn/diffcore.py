@@ -13,6 +13,10 @@ gradient checks in float64.
 Graphs are single-threaded; parameter values are treated as immutable
 during a forward/backward pass. Inside ``no_grad()`` ops build no graph,
 for inference, and batch normalization uses its running statistics.
+Every gradient lands through ``_accumulate``: a node's first gradient
+becomes its slot as is and later ones add into it, so each op hands over
+arrays that nothing else reads or writes (a copy where one ``g`` feeds
+several parents, or where it is a view).
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ class Node:
 
     Leaves wrap parameters (``requires_grad=True``) or constants; interior
     nodes remember their parents and a closure that routes the incoming
-    output gradient back to them (outside ``no_grad`` only). Gradients
-    accumulate until reset, so running ``backprop`` twice on the same graph
-    doubles them.
+    output gradient back to them (outside ``no_grad`` only). Leaf gradients
+    accumulate until reset, so backpropagating two identically built graphs
+    over the same leaves doubles them.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "op", "_backward", "_id")
@@ -78,15 +82,6 @@ class Node:
         self._backward = backward
         self._id = next(_node_ids)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def ensure_grad(self) -> Array:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        return self.grad
-
     def __repr__(self) -> str:
         return f"Node(op={self.op}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -94,10 +89,6 @@ class Node:
 def parameter(value) -> Node:
     """Wrap an array as a trainable leaf."""
     return Node(np.asarray(value), requires_grad=True, op="param")
-
-
-def constant(value) -> Node:
-    return Node(np.asarray(value), op="const")
 
 
 @dataclass(slots=True)
@@ -124,14 +115,18 @@ class BatchNormState:
             raise ValueError("running variance must be elementwise non-negative")
 
 
-def batchnorm_state(channels: int, dtype=np.float32) -> BatchNormState:
-    """Fresh BN state: gamma=1, beta=0, running stats at the identity."""
-    return BatchNormState(
-        gamma=parameter(np.ones(channels, dtype=dtype)),
-        beta=parameter(np.zeros(channels, dtype=dtype)),
-        running_mean=np.zeros(channels, dtype=dtype),
-        running_var=np.ones(channels, dtype=dtype),
-    )
+def _accumulate(node: Node, g: Array) -> None:
+    """Add ``g`` to ``node``'s gradient; an empty slot takes ``g`` itself, uncopied."""
+    if not node.requires_grad:
+        return
+    if g.shape != node.value.shape or g.dtype != node.value.dtype:
+        raise ValueError(
+            f"gradient {g.dtype}{g.shape} does not match {node.op} value {node.value.dtype}{node.value.shape}"
+        )
+    if node.grad is None:
+        node.grad = g
+    else:
+        node.grad += g
 
 
 def _channel_axes(a: Array, what: str) -> tuple[int, ...]:
@@ -187,23 +182,23 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
 
     def backward(g: Array) -> None:
         g3 = g[None] if unbatched else g
-        if bias.requires_grad:
-            bias.ensure_grad()[...] += g3.sum(axis=(0, 1))
+        _accumulate(bias, g3.sum(axis=(0, 1)))
         if not (weight.requires_grad or x.requires_grad):
             return
         gflat = np.zeros((b * span, c_out), dtype=g.dtype)
         gflat.reshape(b, span, c_out)[:, :t] = g3
         gflat = gflat[:rows]
         if weight.requires_grad:
-            dw = weight.ensure_grad()
+            dw = np.empty_like(w)
             for j in range(k):
-                dw[:, :, j] += gflat.T @ flat[j:j + rows]
+                dw[:, :, j] = gflat.T @ flat[j:j + rows]
+            _accumulate(weight, dw)
         if x.requires_grad:
             dflat = np.zeros_like(flat)
             for j in range(k):
                 dflat[j:j + rows] += gflat @ w[:, :, j]
             dx = dflat.reshape(b, span, c_in)[:, padding:padding + t]
-            x.ensure_grad()[...] += dx[0] if unbatched else dx
+            _accumulate(x, (dx[0] if unbatched else dx).copy())
 
     return Node(
         out3[0] if unbatched else out3,
@@ -245,16 +240,14 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
     out = gamma.value * xhat + beta.value
 
     def backward(g: Array) -> None:
-        if beta.requires_grad:
-            beta.ensure_grad()[...] += g.sum(axis=axes)
+        _accumulate(beta, g.sum(axis=axes))
         if gamma.requires_grad:
-            gamma.ensure_grad()[...] += (g * xhat).sum(axis=axes)
+            _accumulate(gamma, (g * xhat).sum(axis=axes))
         if x.requires_grad:
             dxhat = g * gamma.value
             s1 = dxhat.sum(axis=axes)
             s2 = (dxhat * xhat).sum(axis=axes)
-            dx = (dxhat - (s1 + xhat * s2) / m) * inv_std
-            x.ensure_grad()[...] += dx
+            _accumulate(x, (dxhat - (s1 + xhat * s2) / m) * inv_std)
 
     return Node(out, parents=(x, gamma, beta), backward=backward, op="batchnorm1d")
 
@@ -280,13 +273,13 @@ def prelu(x: Node, slope: Node) -> Node:
 
     def backward(g: Array) -> None:
         if slope.requires_grad:
-            slope.ensure_grad()[...] += (g * np.minimum(xv, 0)).sum(axis=axes)
+            _accumulate(slope, (g * np.minimum(xv, 0)).sum(axis=axes))
         if x.requires_grad:
             positive = xv > 0
             dx = s * ~positive  # derivative: slope_c where x <= 0, 0 elsewhere
             dx += positive  # and 1 where x > 0
             dx *= g
-            x.ensure_grad()[...] += dx
+            _accumulate(x, dx)
 
     return Node(out, parents=(x, slope), backward=backward, op="prelu")
 
@@ -297,10 +290,8 @@ def add(a: Node, b: Node) -> Node:
         raise ValueError(f"add: shape mismatch {a.value.shape} vs {b.value.shape}")
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.ensure_grad()[...] += g
-        if b.requires_grad:
-            b.ensure_grad()[...] += g
+        _accumulate(a, g)
+        _accumulate(b, g.copy())
 
     return Node(a.value + b.value, parents=(a, b), backward=backward, op="add")
 
@@ -312,10 +303,8 @@ def concat_channels(a: Node, b: Node) -> Node:
     ca = a.value.shape[-1]
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.ensure_grad()[...] += g[..., :ca]
-        if b.requires_grad:
-            b.ensure_grad()[...] += g[..., ca:]
+        _accumulate(a, g[..., :ca].copy())
+        _accumulate(b, g[..., ca:].copy())
 
     return Node(
         np.concatenate([a.value, b.value], axis=-1),
@@ -334,16 +323,14 @@ def mse(x: Node, target: Array) -> Node:
     out = np.asarray(np.mean(diff * diff))
 
     def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += g * (2.0 / diff.size) * diff
+        _accumulate(x, g * (2.0 / diff.size) * diff)
 
     return Node(out, parents=(x,), backward=backward, op="mse")
 
 
 def scale(x: Node, factor: float) -> Node:
     def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += g * factor
+        _accumulate(x, g * factor)
 
     return Node(x.value * factor, parents=(x,), backward=backward, op="scale")
 
@@ -358,8 +345,7 @@ def add_scalars(nodes: Sequence[Node]) -> Node:
 
     def backward(g: Array) -> None:
         for n in nodes:
-            if n.requires_grad:
-                n.ensure_grad()[...] += g
+            _accumulate(n, g.copy())
 
     return Node(total, parents=tuple(nodes), backward=backward, op="sum")
 
@@ -385,7 +371,7 @@ def backprop(loss: Node) -> None:
         stack.extend(node.parents)
     ordered.sort(key=lambda n: n._id, reverse=True)
 
-    loss.ensure_grad()[...] += 1.0
+    _accumulate(loss, np.ones_like(loss.value))
     for node in ordered:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

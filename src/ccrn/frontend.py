@@ -9,7 +9,7 @@ corrupted-signal phase. All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,20 +34,17 @@ class Waveform:
     """Mono time-domain signal at the fixed 16 kHz rate."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"waveform must be 1-D, got shape {self.samples.shape}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 @dataclass
@@ -67,14 +64,12 @@ class FeatureSequence:
     """T x 876 stacked multi-window features with the applied scale factors."""
 
     frames: np.ndarray
-    norm_scale: np.ndarray = field(default=None)  # type: ignore[assignment]
+    norm_scale: np.ndarray
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
         if self.frames.ndim != 2 or self.frames.shape[1] != FEATURE_DIM:
             raise ValueError(f"feature sequence must be T x {FEATURE_DIM}, got shape {self.frames.shape}")
-        if self.norm_scale is None:
-            self.norm_scale = np.ones(FEATURE_DIM)
         self.norm_scale = np.asarray(self.norm_scale)
         if self.norm_scale.shape != (FEATURE_DIM,):
             raise ValueError("norm_scale must have one entry per feature dimension")

@@ -308,10 +308,6 @@ def named_parameters(model: ModelParams) -> list[tuple[str, Node]]:
     return out
 
 
-def parameter_count(model: ModelParams) -> int:
-    return sum(node.value.size for _, node in named_parameters(model))
-
-
 def named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """All persistent arrays: parameters plus BN running statistics."""
     arrays = [(name, node.value) for name, node in named_parameters(model)]

@@ -157,8 +157,12 @@ def cost_graph(
 def adamw_step(params: Sequence[tuple[str, Node]], state: OptimizerState, cfg: TrainConfig) -> None:
     """One decoupled-weight-decay Adam update over named parameters.
 
-    Rejects the whole step (no parameter is touched) if any gradient is
-    missing or non-finite.
+    The decay applies to the weights after the Adam update:
+    theta <- (theta - lr * m_hat / (sqrt(v_hat) + eps)) * (1 - lr * wd).
+    Loshchilov & Hutter (arXiv:1711.05101) decay theta_{t-1} instead; the
+    two differ by a term of order lr^2 * wd per step. Rejects the whole
+    step (no parameter is touched) if any gradient is missing or
+    non-finite.
     """
     for name, p in params:
         if p.grad is None:

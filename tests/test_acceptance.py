@@ -94,7 +94,12 @@ def test_c1_gradient_fidelity():
     b = dc.parameter(rng.standard_normal(3) * 0.1)
     worst = max(worst, dc.grad_check(lambda: dc.mse(dc.conv1d(x, w, b), target), [x, w, b]))
 
-    state = dc.batchnorm_state(3, dtype=np.float64)
+    state = dc.BatchNormState(
+        gamma=dc.parameter(np.ones(3)),
+        beta=dc.parameter(np.zeros(3)),
+        running_mean=np.zeros(3),
+        running_var=np.ones(3),
+    )
     worst = max(worst, dc.grad_check(lambda: dc.mse(dc.batchnorm1d(x, state), target),
                                      [x, state.gamma, state.beta]))
 
@@ -396,7 +401,7 @@ def test_c10_oracle_equivalence():
         x = rng.standard_normal(batch + (t, c_in))
         w = rng.standard_normal((c_out, c_in, k))
         b = rng.standard_normal(c_out)
-        got = dc.conv1d(dc.constant(x), dc.parameter(w), dc.parameter(b)).value
+        got = dc.conv1d(dc.Node(x), dc.parameter(w), dc.parameter(b)).value
         assert np.max(np.abs(got - conv1d_loops(x, w, b, (k - 1) // 2))) < 1e-6
 
     for _ in range(100):

@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, synth/train/enhance/evaluate flows."""
 
 import argparse
+import ast
 import filecmp
 import os
 import subprocess
@@ -113,6 +114,46 @@ class TestPublicSurface:
             ],
             "gradcheck": ["-h", "--help", "--step"],
         }
+
+
+def _referenced_names(tree, skip=None):
+    """Every name, attribute, imported name and string constant in ``tree``, except under ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # the benchmark's tracer names functions by string
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_library_code_that_only_tests_call():
+    # a public function or class outside ccrn.__all__ must be used by the program,
+    # the benchmark or the scripts; tests alone do not keep it alive
+    root = Path(__file__).resolve().parent.parent
+    modules = {path: ast.parse(path.read_text()) for path in sorted((root / "src" / "ccrn").glob("*.py"))}
+    used = {path: _referenced_names(tree) for path, tree in modules.items()}
+    tools = set().union(*(_referenced_names(ast.parse(path.read_text()))
+                          for d in ("perfbench", "scripts") for path in (root / d).glob("*.py")))
+    unused = []
+    for path, tree in modules.items():
+        elsewhere = tools.union(*(names for other, names in used.items() if other != path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in ccrn.__all__ or node.name in elsewhere:
+                continue
+            if node.name not in _referenced_names(tree, skip=node):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

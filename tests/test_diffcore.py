@@ -26,9 +26,19 @@ def conv1d_loops(x, w, b, padding):
     return out
 
 
+def bn_state(channels):
+    """Fresh float64 batch-norm state: gamma 1, beta 0, running statistics at the identity."""
+    return dc.BatchNormState(
+        gamma=dc.parameter(np.ones(channels)),
+        beta=dc.parameter(np.zeros(channels)),
+        running_mean=np.zeros(channels),
+        running_var=np.ones(channels),
+    )
+
+
 class TestConv1d:
     def test_identity_kernel(self):
-        x = dc.constant(np.array([[1.0], [2.0], [3.0], [4.0]]))
+        x = dc.Node(np.array([[1.0], [2.0], [3.0], [4.0]]))
         w = dc.parameter(np.array([[[0.0, 1.0, 0.0]]]))
         b = dc.parameter(np.zeros(1))
         out = dc.conv1d(x, w, b)
@@ -43,12 +53,12 @@ class TestConv1d:
             w = np.zeros((c, c, 3))
             for i in range(c):
                 w[i, i, 1] = 1.0
-            out = dc.conv1d(dc.constant(x), dc.parameter(w), dc.parameter(np.zeros(c)))
+            out = dc.conv1d(dc.Node(x), dc.parameter(w), dc.parameter(np.zeros(c)))
             assert np.array_equal(out.value, x)
 
     def test_zero_weight_gives_zero(self):
         rng = np.random.default_rng(1)
-        x = dc.constant(rng.standard_normal((8, 3)))
+        x = dc.Node(rng.standard_normal((8, 3)))
         w = dc.parameter(np.zeros((2, 3, 3)))
         b = dc.parameter(np.zeros(2))
         assert np.all(dc.conv1d(x, w, b).value == 0.0)
@@ -64,7 +74,7 @@ class TestConv1d:
             x = rng.standard_normal(batch + (t, c_in))
             w = rng.standard_normal((c_out, c_in, k))
             b = rng.standard_normal(c_out)
-            got = dc.conv1d(dc.constant(x), dc.parameter(w), dc.parameter(b)).value
+            got = dc.conv1d(dc.Node(x), dc.parameter(w), dc.parameter(b)).value
             want = conv1d_loops(x, w, b, (k - 1) // 2)
             assert np.max(np.abs(got - want)) < 1e-6
 
@@ -73,9 +83,9 @@ class TestConv1d:
         x = rng.standard_normal((4, 10, 3))
         w = dc.parameter(rng.standard_normal((2, 3, 3)))
         b = dc.parameter(rng.standard_normal(2))
-        batched = dc.conv1d(dc.constant(x), w, b).value
+        batched = dc.conv1d(dc.Node(x), w, b).value
         for i in range(4):
-            single = dc.conv1d(dc.constant(x[i]), w, b).value
+            single = dc.conv1d(dc.Node(x[i]), w, b).value
             assert np.allclose(batched[i], single, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -103,7 +113,7 @@ class TestConv1d:
         assert not np.array_equal(out[1], out_changed[1])
 
     def test_channel_mismatch_rejected(self):
-        x = dc.constant(np.zeros((8, 3)))
+        x = dc.Node(np.zeros((8, 3)))
         w = dc.parameter(np.zeros((2, 4, 3)))
         b = dc.parameter(np.zeros(2))
         with pytest.raises(ValueError, match="channels"):
@@ -112,7 +122,7 @@ class TestConv1d:
     def test_zero_frames_rejected(self):
         with pytest.raises(ValueError, match="too few"):
             dc.conv1d(
-                dc.constant(np.zeros((0, 1))),
+                dc.Node(np.zeros((0, 1))),
                 dc.parameter(np.zeros((1, 1, 3))),
                 dc.parameter(np.zeros(1)),
             )
@@ -120,7 +130,7 @@ class TestConv1d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             dc.conv1d(
-                dc.constant(np.zeros((8, 1))),
+                dc.Node(np.zeros((8, 1))),
                 dc.parameter(np.zeros((1, 1, 4))),
                 dc.parameter(np.zeros(1)),
             )
@@ -128,9 +138,9 @@ class TestConv1d:
 
 class TestBatchNorm:
     def test_constant_input_gives_beta(self):
-        state = dc.batchnorm_state(3, dtype=np.float64)
+        state = bn_state(3)
         state.beta.value[:] = [1.0, -2.0, 0.5]
-        x = dc.constant(np.full((10, 3), 7.0))
+        x = dc.Node(np.full((10, 3), 7.0))
         out = dc.batchnorm1d(x, state)
         assert np.allclose(out.value, np.array([1.0, -2.0, 0.5]), atol=1e-7)
 
@@ -138,27 +148,27 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((400, 2))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        state = dc.batchnorm_state(2, dtype=np.float64)
-        out = dc.batchnorm1d(dc.constant(x), state)
+        state = bn_state(2)
+        out = dc.batchnorm1d(dc.Node(x), state)
         assert np.max(np.abs(out.value - x)) < 1e-4
 
     def test_inference_identity_statistics(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 3))
-        state = dc.batchnorm_state(3, dtype=np.float64)
+        state = bn_state(3)
         with dc.no_grad():
-            out = dc.batchnorm1d(dc.constant(x), state)
+            out = dc.batchnorm1d(dc.Node(x), state)
         assert np.allclose(out.value, x / np.sqrt(1.0 + state.eps), atol=1e-12)
 
     def test_no_grad_uses_running_stats_and_writes_nothing(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((2, 9, 3)) * 2.0 + 1.0
-        state = dc.batchnorm_state(3, dtype=np.float64)
+        state = bn_state(3)
         state.running_mean[:] = [0.5, -1.0, 2.0]
         state.running_var[:] = [0.25, 4.0, 1.5]
         mean, var = state.running_mean.copy(), state.running_var.copy()
         with dc.no_grad():
-            out = dc.batchnorm1d(dc.constant(x), state)
+            out = dc.batchnorm1d(dc.Node(x), state)
         assert np.array_equal(state.running_mean, mean)
         assert np.array_equal(state.running_var, var)
         want = (x - mean) / np.sqrt(var + state.eps)
@@ -167,44 +177,44 @@ class TestBatchNorm:
     def test_training_output_statistics(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((128, 4)) * 3.0 + 1.5
-        state = dc.batchnorm_state(4, dtype=np.float64)
-        out = dc.batchnorm1d(dc.constant(x), state).value
+        state = bn_state(4)
+        out = dc.batchnorm1d(dc.Node(x), state).value
         assert np.max(np.abs(out.mean(axis=0))) < 1e-5
         assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-3
 
     def test_running_stats_updated(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((50, 2)) + 5.0
-        state = dc.batchnorm_state(2, dtype=np.float64)
-        dc.batchnorm1d(dc.constant(x), state)
+        state = bn_state(2)
+        dc.batchnorm1d(dc.Node(x), state)
         assert np.all(state.running_mean > 0.2)
 
     def test_state_has_no_mode_field(self):
-        state = dc.batchnorm_state(2)
+        state = bn_state(2)
         with pytest.raises(AttributeError):
             state.training = False
 
     def test_short_training_input_rejected(self):
-        state = dc.batchnorm_state(2, dtype=np.float64)
+        state = bn_state(2)
         with pytest.raises(ValueError, match="2 samples"):
-            dc.batchnorm1d(dc.constant(np.zeros((1, 2))), state)
+            dc.batchnorm1d(dc.Node(np.zeros((1, 2))), state)
 
 
 class TestPrelu:
     def test_positive_branch(self):
-        x = dc.constant(np.array([[5.0]]))
+        x = dc.Node(np.array([[5.0]]))
         out = dc.prelu(x, dc.parameter(np.array([0.9])))
         assert out.value[0, 0] == 5.0
 
     def test_negative_branch(self):
-        x = dc.constant(np.array([[-2.0]]))
+        x = dc.Node(np.array([[-2.0]]))
         out = dc.prelu(x, dc.parameter(np.array([0.25])))
         assert out.value[0, 0] == -0.5
 
     def test_unit_slope_is_identity(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((20, 3))
-        out = dc.prelu(dc.constant(x), dc.parameter(np.ones(3)))
+        out = dc.prelu(dc.Node(x), dc.parameter(np.ones(3)))
         assert np.array_equal(out.value, x)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -263,7 +273,7 @@ class TestBackprop:
         dc.backprop(dc.mse(p, np.array([0.0])))
         first = p.grad.copy()
         dc.backprop(dc.mse(p, np.array([0.0])))
-        assert np.allclose(p.grad, 2.0 * first)
+        assert np.array_equal(p.grad, 2.0 * first)
 
     def test_bit_deterministic(self):
         rng = np.random.default_rng(9)
@@ -275,7 +285,7 @@ class TestBackprop:
             p = dc.parameter(w.copy())
             b = dc.parameter(np.zeros(4))
             s = dc.parameter(np.full(4, 0.25))
-            out = dc.prelu(dc.conv1d(dc.constant(x), p, b), s)
+            out = dc.prelu(dc.conv1d(dc.Node(x), p, b), s)
             dc.backprop(dc.mse(out, target))
             return p.grad.copy(), b.grad.copy(), s.grad.copy()
 
@@ -283,11 +293,133 @@ class TestBackprop:
         for a, b_ in zip(g1, g2):
             assert np.array_equal(a, b_)
 
+    # Graphs where one gradient reaches a node more than once. Each builder
+    # returns (loss_fn, leaves); loss_fn rebuilds the graph from the leaves.
+    # Values are small multiples of 1/4 and each cost averages a power of two
+    # of elements, so every gradient sum is exact and two passes give exactly 2x.
+
+    @staticmethod
+    def quarters(rng, shape, nonzero=False):
+        return rng.integers(1 if nonzero else 0, 5, shape) * rng.choice([-0.25, 0.25], shape)
+
+    @classmethod
+    def residual_diamond(cls, other_first):
+        # add(x, f(x)) with x also feeding a PReLU, made before or after the add
+        rng = np.random.default_rng(20)
+        x = dc.parameter(cls.quarters(rng, (2, 4, 4), nonzero=True))  # clear of the PReLU kink
+        w = dc.parameter(cls.quarters(rng, (4, 4, 3)))
+        b = dc.parameter(cls.quarters(rng, 4))
+        s = dc.parameter(np.full(4, 0.25))
+        t1, t2 = cls.quarters(rng, (2, 2, 4, 4))
+
+        def loss_fn():
+            fx = dc.conv1d(x, w, b)
+            if other_first:
+                other = dc.prelu(x, s)
+                res = dc.add(x, fx)
+            else:
+                res = dc.add(x, fx)
+                other = dc.prelu(x, s)
+            return dc.add_scalars([dc.mse(res, t1), dc.mse(other, t2)])
+
+        return loss_fn, [x, w, b, s]
+
+    @classmethod
+    def add_self(cls):
+        rng = np.random.default_rng(21)
+        p = dc.parameter(cls.quarters(rng, (4, 2)))
+        target = cls.quarters(rng, (4, 2))
+        return lambda: dc.mse(dc.add(p, p), target), [p]
+
+    @classmethod
+    def concat_then_reuse(cls, reuse_first):
+        # concat_channels(a, b) with a also feeding a convolution, made before or after the concat
+        rng = np.random.default_rng(22)
+        a = dc.parameter(cls.quarters(rng, (2, 4, 2)))
+        b = dc.parameter(cls.quarters(rng, (2, 4, 2)))
+        w = dc.parameter(cls.quarters(rng, (2, 2, 3)))
+        bias = dc.parameter(cls.quarters(rng, 2))
+        t1, t2 = cls.quarters(rng, (2, 4, 4)), cls.quarters(rng, (2, 4, 2))
+
+        def loss_fn():
+            if reuse_first:
+                reuse = dc.conv1d(a, w, bias)
+                cat = dc.concat_channels(a, b)
+            else:
+                cat = dc.concat_channels(a, b)
+                reuse = dc.conv1d(a, w, bias)
+            return dc.add_scalars([dc.mse(cat, t1), dc.mse(reuse, t2)])
+
+        return loss_fn, [a, b, w, bias]
+
+    @classmethod
+    def add_scalars_twice(cls):
+        rng = np.random.default_rng(23)
+        p = dc.parameter(cls.quarters(rng, (4, 4)))
+        target = cls.quarters(rng, (4, 4))
+
+        def loss_fn():
+            # c twice in one sum, and once more beside it, as the progressive cost has it
+            c = dc.mse(p, target)
+            return dc.add_scalars([dc.add_scalars([c, c]), c])
+
+        return loss_fn, [p]
+
+    @pytest.mark.parametrize(
+        "builder, args",
+        [
+            pytest.param("residual_diamond", (True,), id="diamond, other op first"),
+            pytest.param("residual_diamond", (False,), id="diamond, other op last"),
+            pytest.param("add_self", (), id="add(p, p)"),
+            pytest.param("concat_then_reuse", (True,), id="concat, reuse first"),
+            pytest.param("concat_then_reuse", (False,), id="concat, reuse last"),
+            pytest.param("add_scalars_twice", (), id="add_scalars([c, c])"),
+        ],
+    )
+    def test_shared_gradient_owned_once(self, builder, args):
+        loss_fn, leaves = getattr(self, builder)(*args)
+        assert dc.grad_check(loss_fn, leaves) < 1e-6
+
+        dc.zero_grads(leaves)
+        dc.backprop(loss_fn())
+        first = [p.grad.copy() for p in leaves]
+        for i, p in enumerate(leaves):
+            assert p.grad.flags.c_contiguous
+            for q in leaves[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
+        dc.backprop(loss_fn())
+        for p, g in zip(leaves, first):
+            assert np.array_equal(p.grad, 2.0 * g)
+
+    def test_first_gradient_is_adopted_and_later_ones_added(self):
+        p = dc.parameter(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        dc._accumulate(p, g)
+        assert p.grad is g
+        dc._accumulate(p, np.full((2, 3), 2.0))
+        assert np.array_equal(p.grad, np.full((2, 3), 3.0))
+        const = dc.Node(np.zeros(3))
+        dc._accumulate(const, np.ones(3))
+        assert const.grad is None
+
+    @pytest.mark.parametrize("filled", [False, True])
+    @pytest.mark.parametrize(
+        "g", [np.ones((3, 2)), np.ones(3), np.ones((1, 3)), np.ones((2, 3), dtype=np.float32)],
+        ids=["transposed", "broadcast row", "broadcast (1, 3)", "float32"],
+    )
+    def test_mismatched_gradient_rejected(self, g, filled):
+        p = dc.parameter(np.zeros((2, 3)))
+        if filled:
+            dc._accumulate(p, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="does not match"):
+            dc._accumulate(p, g)
+        assert np.array_equal(p.grad, np.ones((2, 3))) if filled else p.grad is None
+
 
 class TestNoGrad:
     @staticmethod
     def small_graph(p, b, s):
-        x = dc.constant(np.linspace(-1.0, 1.0, 24).reshape(12, 2))
+        x = dc.Node(np.linspace(-1.0, 1.0, 24).reshape(12, 2))
         return dc.mse(dc.prelu(dc.conv1d(x, p, b), s), np.zeros((12, 2)))
 
     @staticmethod
@@ -302,12 +434,12 @@ class TestNoGrad:
 
     def test_ops_keep_no_graph(self):
         p, b, s = params = self.params()
-        bn = dc.batchnorm_state(2, dtype=np.float64)
+        bn = bn_state(2)
         with dc.no_grad():
-            conv = dc.conv1d(dc.constant(np.ones((12, 2))), p, b)
+            conv = dc.conv1d(dc.Node(np.ones((12, 2))), p, b)
             ops = [conv, dc.batchnorm1d(conv, bn), dc.prelu(conv, s), dc.add(conv, conv),
                    dc.concat_channels(conv, conv), dc.scale(conv, 2.0)]
-            ops += [dc.mse(node, np.zeros(node.shape)) for node in ops]
+            ops += [dc.mse(node, np.zeros(node.value.shape)) for node in ops]
             ops.append(dc.add_scalars(ops[-6:]))
             dc.backprop(ops[-1])
         for node in ops:
@@ -347,7 +479,7 @@ class TestGradCheck:
         b = dc.parameter(rng.standard_normal(3) * 0.1)
 
         def loss_fn():
-            return dc.mse(dc.conv1d(dc.constant(x), w, b), target)
+            return dc.mse(dc.conv1d(dc.Node(x), w, b), target)
 
         assert dc.grad_check(loss_fn, [w, b]) < 1e-6
 
@@ -382,7 +514,7 @@ class TestGradCheck:
         rng = np.random.default_rng(12)
         x = dc.parameter(rng.standard_normal((16, 3)))
         target = rng.standard_normal((16, 3))
-        state = dc.batchnorm_state(3, dtype=np.float64)
+        state = bn_state(3)
 
         def loss_fn():
             return dc.mse(dc.batchnorm1d(x, state), target)

@@ -22,10 +22,14 @@ def cost_loops(y, x):
 
 
 class AdamOracle:
-    """Plain Adam (no weight decay), the trajectory reference."""
+    """Adam, then decoupled decay of the updated weights: the trajectory reference.
 
-    def __init__(self, lr, beta1, beta2, eps):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    theta <- (theta - lr * m_hat / (sqrt(v_hat) + eps)) * (1 - lr * wd), the
+    order ``adamw_step`` documents; wd = 0 is plain Adam.
+    """
+
+    def __init__(self, lr, beta1, beta2, eps, wd=0.0):
+        self.lr, self.b1, self.b2, self.eps, self.wd = lr, beta1, beta2, eps, wd
         self.m = None
         self.v = None
         self.t = 0
@@ -39,7 +43,7 @@ class AdamOracle:
         self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
         mhat = self.m / (1 - self.b1**self.t)
         vhat = self.v / (1 - self.b2**self.t)
-        return theta - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        return (theta - self.lr * mhat / (np.sqrt(vhat) + self.eps)) * (1 - self.lr * self.wd)
 
 
 class TestCost:
@@ -177,13 +181,14 @@ class TestAdamW:
         assert state.t == 0
 
     def test_wd_zero_matches_adam_oracle(self):
+        # and at wd > 0 the documented decay order, so reordering it must be deliberate
         rng = np.random.default_rng(48)
-        for _ in range(100):
+        for i in range(100):
             theta = rng.standard_normal(5)
             p = dc.parameter(theta.copy())
-            cfg = obj.TrainConfig(lr=1e-3, weight_decay=0.0)
+            cfg = obj.TrainConfig(lr=1e-3, weight_decay=(0.0, 0.5)[i % 2])
             state = obj.OptimizerState()
-            oracle = AdamOracle(cfg.lr, cfg.beta1, cfg.beta2, cfg.epsilon)
+            oracle = AdamOracle(cfg.lr, cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay)
             ref = theta.copy()
             for _step in range(10):
                 g = rng.standard_normal(5)
