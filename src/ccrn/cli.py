@@ -48,18 +48,21 @@ MAX_DURATION_S = 60.0
 
 @dataclass
 class RunConfig:
-    """Union of model, training, and corpus settings plus I/O paths."""
+    """Union of model, training, and corpus settings."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     utterances: int = 20
     duration_s: float = 3.0
     corpus_seed: int = 100
-    paths: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.utterances < 1:
+            raise ValueError(f"utterances must be >= 1, got {self.utterances}")
         if not 0.0 < self.duration_s <= MAX_DURATION_S:
             raise ValueError(f"duration must be in (0, {MAX_DURATION_S:g}] s, got {self.duration_s}")
+        if self.corpus_seed < 0:
+            raise ValueError(f"corpus seed must be >= 0, got {self.corpus_seed}")
 
 
 # key -> (section, attribute, coercion)
@@ -92,7 +95,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     model_kw: dict = {}
     train_kw: dict = {}
     top_kw: dict = {}
-    paths: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -102,9 +104,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key.startswith("paths."):
-            paths[key[len("paths."):]] = raw
-            continue
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         section, attr, coerce = _CONFIG_KEYS[key]
@@ -114,9 +113,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {err}") from err
         {"model": model_kw, "train": train_kw, "top": top_kw}[section][attr] = value
     try:
-        return RunConfig(
-            model=ModelConfig(**model_kw), train=TrainConfig(**train_kw), paths=paths, **top_kw
-        )
+        return RunConfig(model=ModelConfig(**model_kw), train=TrainConfig(**train_kw), **top_kw)
     except ValueError as err:
         raise ConfigError(f"{source}: {err}") from err
 
@@ -192,12 +189,11 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
     waves = _load_corpus(config, manifest_path)
 
     opt_state = None
-    start_step = 0
     if resume is not None:
         model, extra = netmodel.load_checkpoint(resume)
         if model.config != config.model:
             raise ConfigError(f"checkpoint model {model.config} does not match configured {config.model}")
-        opt_state, start_step = objectives.resume_state(extra)
+        opt_state = objectives.resume_state(extra)
     else:
         model = netmodel.build_model(config.model, seed=config.train.seed)
 
@@ -208,7 +204,6 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
         log_path=out / "train_log.csv",
         checkpoint_path=out / "checkpoint.bin",
         opt_state=opt_state,
-        start_step=start_step,
         print_every=100,
     )
     if reports:

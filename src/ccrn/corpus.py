@@ -59,6 +59,9 @@ def room_drr(rt60: float, base_drr_db: float) -> float:
     return base_drr_db - 10.0 * math.log10(rt60 / 0.5)
 
 
+NOISE_KINDS = ("speech-shaped", "white")
+
+
 @dataclass(frozen=True)
 class CorruptionSpec:
     rir: RirSpec
@@ -69,7 +72,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
-        if self.noise_kind not in ("white", "speech-shaped"):
+        if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
 
 

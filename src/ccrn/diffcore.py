@@ -56,9 +56,10 @@ class Node:
 
     Leaves wrap parameters (``requires_grad=True``) or constants; interior
     nodes remember their parents and a closure that routes the incoming
-    output gradient back to them (outside ``no_grad`` only). Leaf gradients
-    accumulate until reset, so backpropagating two identically built graphs
-    over the same leaves doubles them.
+    output gradient back to them (outside ``no_grad`` only). An interior
+    node's gradient lives only while ``backprop`` runs. Leaf gradients
+    accumulate until reset, so two passes over the same leaves double
+    them, whether through one graph or two identically built ones.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "op", "_backward", "_id")
@@ -354,8 +355,9 @@ def backprop(loss: Node) -> None:
     """Populate gradients of ``loss`` w.r.t. every reachable parameter.
 
     Traversal is reverse creation order (a fixed topological order), so
-    repeated runs on identical graphs are bit-deterministic. Gradients are
-    accumulated: call ``zero_grads`` between independent passes.
+    repeated runs on identical graphs are bit-deterministic. Each interior
+    node's gradient is dropped once its backward has run; leaf gradients
+    accumulate: call ``zero_grads`` between independent passes.
     """
     if loss.value.size != 1:
         raise ValueError(f"backprop: loss must be scalar, got shape {loss.value.shape}")
@@ -375,6 +377,7 @@ def backprop(loss: Node) -> None:
     for node in ordered:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(nodes: Iterable[Node]) -> None:

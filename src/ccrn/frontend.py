@@ -256,12 +256,12 @@ def fold_spectrum(frames: np.ndarray, n_bands: int) -> np.ndarray:
     return frames.reshape(frames.shape[0], n_bands, group).mean(axis=2)
 
 
-def unfold_spectrum(frames: np.ndarray, n_bins: int = FFT_BINS) -> np.ndarray:
-    """Expand T x n_bands folded spectra back to T x n_bins by repetition."""
+def unfold_spectrum(frames: np.ndarray) -> np.ndarray:
+    """Expand T x n_bands folded spectra back to T x 512 by repetition."""
     frames = np.asarray(frames)
-    if n_bins % frames.shape[1]:
-        raise ValueError(f"cannot unfold {frames.shape[1]} bands into {n_bins} bins")
-    return np.repeat(frames, n_bins // frames.shape[1], axis=1)
+    if FFT_BINS % frames.shape[1]:
+        raise ValueError(f"cannot unfold {frames.shape[1]} bands into {FFT_BINS} bins")
+    return np.repeat(frames, FFT_BINS // frames.shape[1], axis=1)
 
 
 def _overlap_add(slabs: np.ndarray) -> np.ndarray:

@@ -73,6 +73,10 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
+        if self.seed < 0:
+            raise ValueError(f"train seed must be >= 0, got {self.seed}")
+        if self.checkpoint_interval < 0:
+            raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= 2**24 (float32 step counters), got {self.steps}")
         if not self.rt60_choices:
@@ -85,6 +89,8 @@ class TrainConfig:
                 raise ValueError(f"drr_db values must be finite, got {drr}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be finite or inf (no noise), got {self.snr_db}")
+        if self.noise_kind not in corpus_mod.NOISE_KINDS:
+            raise ValueError(f"noise kind must be one of {corpus_mod.NOISE_KINDS}, got {self.noise_kind!r}")
 
 
 @dataclass
@@ -334,32 +340,38 @@ def train(
     log_path=None,
     checkpoint_path=None,
     opt_state: OptimizerState | None = None,
-    start_step: int = 0,
     print_every: int = 0,
 ) -> list[CostReport]:
     """Run AdamW updates of the (progressive) cost; returns per-step reports.
 
-    Writes one CSV row per step to ``log_path``; a resumed run first
-    rewrites the log as the header plus the rows below ``start_step``.
-    Refreshes ``checkpoint_path`` every ``cfg.checkpoint_interval`` steps
-    and saves it once at the end (optimizer moments ride along, so a
-    resumed run continues the exact trajectory). Divergence aborts with the
-    last checkpoint intact.
+    Starts at step ``opt_state.t`` (0 without a state) and refuses a state
+    past ``cfg.steps`` before it touches a file. Writes one CSV row per
+    step to ``log_path``; a resumed run first rewrites the log as the
+    header plus its rows below that step, and a damaged row is a
+    ``ValueError`` naming ``<log>:<line>``. Refreshes ``checkpoint_path``
+    every ``cfg.checkpoint_interval`` steps and saves it once at the end,
+    flushing the log first (optimizer moments ride along, so a resumed run
+    continues the exact trajectory). Divergence aborts with the last
+    checkpoint intact.
     """
     params = netmodel.named_parameters(model)
     state = opt_state if opt_state is not None else OptimizerState()
+    if state.t > cfg.steps:
+        raise ValueError(f"optimizer state is at step {state.t}, past the configured {cfg.steps} steps")
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
     clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
+    log = None
 
-    def save(step: int) -> None:
+    def save() -> None:
         if checkpoint_path is None:
             return
+        if log is not None:
+            log.flush()
         extra = {f"opt.m.{k}": v for k, v in state.m.items()}
         extra.update({f"opt.v.{k}": v for k, v in state.v.items()})
-        extra["opt.t"] = np.array([state.t], dtype=np.float32)
-        extra["train.step"] = np.array([step], dtype=np.float32)
+        extra["opt.t"] = extra["train.step"] = np.array([state.t], dtype=np.float32)
         netmodel.save_checkpoint(checkpoint_path, model, extra)
 
     def build(step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,19 +380,18 @@ def train(
     with contextlib.ExitStack() as stack:
         writer = None
         if log_path is not None:
-            kept = []
-            if start_step and os.path.exists(log_path):
-                with open(log_path, newline="") as fh:
-                    kept = [row for row in list(csv.reader(fh))[1:] if int(row[0]) < start_step]
-            writer = csv.writer(stack.enter_context(open(log_path, "w", newline="")))
-            writer.writerow(["step", "total", "main"] + [f"per_block_{l}" for l in range(1, n_blocks + 1)])
+            header = ["step", "total", "main"] + [f"per_block_{l}" for l in range(1, n_blocks + 1)]
+            kept = _log_rows_below(log_path, state.t, len(header))
+            log = stack.enter_context(open(log_path, "w", newline=""))
+            writer = csv.writer(log)
+            writer.writerow(header)
             writer.writerows(kept)
 
         # the pool is shut down, and then the BLAS count restored, on every exit
         pool = None
         if _conv_macs_per_frame(model) <= OVERLAP_MAX_MACS and stack.enter_context(_one_blas_thread()):
             pool = stack.enter_context(ThreadPoolExecutor(1))
-        steps = range(start_step, cfg.steps)
+        steps = range(state.t, cfg.steps)
         for step, (x_np, y_np) in zip(steps, _batches(build, steps, pool)):
             _, probes = netmodel.forward_nodes(model, Node(x_np), want_probes=True)
             total, report = cost_graph(probes, y_np, cfg.alpha, cfg.sum_excludes_final)
@@ -398,9 +409,33 @@ def train(
                 print(f"step {step + 1}/{cfg.steps} total {report.total:.5f} main {report.main:.5f} blocks [{blocks}]")
             # the last step's checkpoint is the final save below
             if cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0 and step + 1 < cfg.steps:
-                save(step + 1)
-        save(cfg.steps)
+                save()
+        save()
     return reports
+
+
+def _log_rows_below(log_path, step: int, n_columns: int) -> list[list[str]]:
+    """The rows of an existing training log whose step is below ``step``.
+
+    Every row needs a whole-number step; a kept row also needs
+    ``n_columns`` fields. Rows from ``step`` on are dropped whatever their
+    columns, so a row a kill cut short after the last checkpoint does not
+    block a resume.
+    """
+    if not step or not os.path.exists(log_path):
+        return []
+    kept = []
+    with open(log_path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # header
+        for row in reader:
+            if not (row and row[0].isdecimal()):
+                raise ValueError(f"{log_path}:{reader.line_num}: training log row has no integer step")
+            if int(row[0]) < step:
+                if len(row) != n_columns:
+                    raise ValueError(f"{log_path}:{reader.line_num}: {len(row)} columns, expected {n_columns}")
+                kept.append(row)
+    return kept
 
 
 def _step_counter(extra: dict[str, np.ndarray], name: str) -> int:
@@ -414,17 +449,21 @@ def _step_counter(extra: dict[str, np.ndarray], name: str) -> int:
     return int(value)
 
 
-def resume_state(extra: dict[str, np.ndarray]) -> tuple[OptimizerState, int]:
-    """Optimizer state and next step index from checkpoint extras.
+def resume_state(extra: dict[str, np.ndarray]) -> OptimizerState:
+    """Optimizer state from checkpoint extras; its ``t`` is the next step index.
 
-    The moment arrays are taken over as they are, not copied.
+    Both stored counters must be valid and equal. The moment arrays are
+    taken over as they are, not copied.
     """
     if "opt.t" not in extra or "train.step" not in extra:
         raise ValueError("checkpoint carries no optimizer state; it cannot be resumed")
-    state = OptimizerState(t=_step_counter(extra, "opt.t"))
+    t, step = _step_counter(extra, "opt.t"), _step_counter(extra, "train.step")
+    if t != step:
+        raise ValueError(f"checkpoint opt.t is {t} but train.step is {step}; they must agree")
+    state = OptimizerState(t=t)
     for name, arr in extra.items():
         if name.startswith("opt.m."):
             state.m[name[len("opt.m."):]] = arr
         elif name.startswith("opt.v."):
             state.v[name[len("opt.v."):]] = arr
-    return state, _step_counter(extra, "train.step")
+    return state

@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import dataclasses
+import inspect
 import filecmp
 import os
 import subprocess
@@ -45,18 +47,18 @@ class TestConfigParsing:
         model.blocks = 4
         train.alpha = 0.2
         corpus.rt60 = 0.25,0.5
-        paths.out = /tmp/run
         """
         config = parse_config_text(text)
         assert config.model.kind == "ccrn-state"
         assert config.model.blocks == 4
         assert config.train.alpha == 0.2
         assert config.train.rt60_choices == (0.25, 0.5)
-        assert config.paths["out"] == "/tmp/run"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("model.depth = 3")
+        with pytest.raises(ConfigError, match="unknown key 'paths.out'"):
+            parse_config_text("paths.out = /tmp/run")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -113,6 +115,21 @@ class TestPublicSurface:
                 "-h", "--help", "--manifest", "--enhanced-dir", "--noisy-dir", "--report", "--check-direction",
             ],
             "gradcheck": ["-h", "--help", "--step"],
+        }
+
+    def test_train_parameters_and_config_fields(self):
+        assert list(inspect.signature(ccrn.train).parameters) == [
+            "model", "corpus", "cfg", "log_path", "checkpoint_path", "opt_state", "print_every",
+        ]
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (cli.RunConfig, ccrn.TrainConfig, ccrn.ModelConfig)}
+        assert fields == {
+            "RunConfig": ["model", "train", "utterances", "duration_s", "corpus_seed"],
+            "TrainConfig": [
+                "alpha", "seq_len", "batch_size", "lr", "weight_decay", "steps", "seed", "rt60_choices",
+                "drr_choices", "snr_db", "noise_kind", "sum_excludes_final", "checkpoint_interval",
+            ],
+            "ModelConfig": ["kind", "blocks", "channels", "state_step", "kernel", "input_dim"],
         }
 
 
@@ -182,7 +199,8 @@ def synth_dir(tmp_path_factory):
 BAD_CORPUS_SETTINGS = [
     "corpus.rt60 = -1", "corpus.rt60 = nan", "corpus.rt60 = 0.5,11", "corpus.drr_db = 5,inf",
     "corpus.snr_db = -inf", "corpus.snr_db = nan", "corpus.duration = -1", "corpus.duration = 0",
-    "corpus.duration = nan", "corpus.duration = 61",
+    "corpus.duration = nan", "corpus.duration = 61", "corpus.noise = pink", "corpus.utterances = 0",
+    "corpus.seed = -1",
 ]
 
 
@@ -306,6 +324,8 @@ class TestTrain:
     @pytest.mark.parametrize("line", [
         "train.lr = nan", "train.alpha = nan", "train.weight_decay = -1",
         "corpus.rt60 = -1", "corpus.drr_db = nan", "corpus.snr_db = -inf", "corpus.duration = 1e12",
+        "corpus.noise = pink", "corpus.utterances = 0", "corpus.seed = -1", "train.seed = -1",
+        "train.checkpoint_interval = -2",
     ])
     def test_bad_train_setting_exits_1_before_any_output(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -379,6 +399,57 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: checkpoint {counter} is ") and "Traceback" not in err
+
+
+    def test_resume_past_the_configured_steps_exits_1_changing_nothing(self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("checkpoint.bin", "train_log.csv"):
+            (run / name).write_bytes((trained_run / "run" / name).read_bytes())
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text((trained_run / "train.cfg").read_text() + "train.steps = 3\n")
+        code = main(["train", "--config", str(cfg), "--out", str(run), "--resume", str(run / "checkpoint.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: optimizer state is at step 4, past the configured 3 steps\n"
+        for name in ("checkpoint.bin", "train_log.csv"):
+            assert (run / name).read_bytes() == (trained_run / "run" / name).read_bytes()
+
+    def test_disagreeing_step_counters_exit_1(self, trained_run, tmp_path, capsys):
+        model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")
+        extra["train.step"] = np.array([2.0], dtype=np.float32)
+        corrupt = tmp_path / "corrupt.bin"
+        nm.save_checkpoint(corrupt, model, extra)
+        code = main([
+            "train", "--config", str(trained_run / "train.cfg"), "--out", str(tmp_path / "resumed"),
+            "--resume", str(corrupt),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: checkpoint opt.t is 4 but train.step is 2; they must agree\n"
+        assert not (tmp_path / "resumed" / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["blank line", "row cut short", "non-integer step"])
+    def test_damaged_log_on_resume_exits_1(self, trained_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        run.mkdir()
+        lines = (trained_run / "run" / "train_log.csv").read_text().splitlines()
+        lines[2:3], message = {
+            "blank line": (["", lines[2]], "training log row has no integer step"),
+            "row cut short": ([lines[2][:lines[2].index(",", 2)]], "2 columns, expected 5"),
+            "non-integer step": (["1.0" + lines[2][1:]], "training log row has no integer step"),
+        }[damage]
+        (run / "train_log.csv").write_text("\n".join(lines) + "\n")
+        damaged = (run / "train_log.csv").read_bytes()
+        code = main([
+            "train", "--config", str(trained_run / "train.cfg"), "--out", str(run),
+            "--resume", str(trained_run / "run" / "checkpoint.bin"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {run / 'train_log.csv'}:3: {message}\n"
+        assert (run / "train_log.csv").read_bytes() == damaged
+        assert not (run / "checkpoint.bin").exists()
 
 
 class TestEnhance:

@@ -275,6 +275,15 @@ class TestBackprop:
         dc.backprop(dc.mse(p, np.array([0.0])))
         assert np.array_equal(p.grad, 2.0 * first)
 
+    def test_second_pass_over_one_graph_adds_one_gradient(self):
+        p = dc.parameter(np.array([2.0]))
+        loss = dc.mse(p, np.array([0.0]))
+        dc.backprop(loss)
+        assert np.array_equal(p.grad, [4.0])
+        assert loss.grad is None
+        dc.backprop(loss)
+        assert np.array_equal(p.grad, [8.0])
+
     def test_bit_deterministic(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((12, 4))

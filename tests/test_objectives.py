@@ -327,9 +327,10 @@ class TestTrain:
         half = nm.build_model(config, seed=5)
         obj.train(half, small_corpus, half_cfg, checkpoint_path=tmp_path / "half.bin")
         resumed, extra = nm.load_checkpoint(tmp_path / "half.bin")
-        state, start = obj.resume_state(extra)
+        state = obj.resume_state(extra)
+        assert state.t == 3
         # resuming onto the straight run's log drops its rows from step 3 on
-        obj.train(resumed, small_corpus, full_cfg, opt_state=state, start_step=start,
+        obj.train(resumed, small_corpus, full_cfg, opt_state=state,
                   checkpoint_path=tmp_path / "resumed.bin", log_path=log)
 
         assert (tmp_path / "straight.bin").read_bytes() == (tmp_path / "resumed.bin").read_bytes()
@@ -348,6 +349,23 @@ class TestTrain:
         cfg = small_train_config(steps=4, checkpoint_interval=2)
         obj.train(model, small_corpus, cfg, checkpoint_path=tmp_path / "ck.bin")
         assert saved_steps == [2, 4]
+
+    def test_log_on_disk_holds_every_row_below_each_checkpoint(self, small_corpus, tmp_path, monkeypatch):
+        log = tmp_path / "log.csv"
+        seen = []
+        save = nm.save_checkpoint
+
+        def reading_save(path, model, extra=None):
+            step = int(extra["train.step"][0])
+            rows = log.read_text().splitlines()[1:]
+            seen.append((step, [int(row.split(",")[0]) for row in rows]))
+            save(path, model, extra)
+
+        monkeypatch.setattr(nm, "save_checkpoint", reading_save)
+        model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=2)
+        cfg = small_train_config(steps=6, checkpoint_interval=2)
+        obj.train(model, small_corpus, cfg, checkpoint_path=tmp_path / "ck.bin", log_path=log)
+        assert seen == [(s, list(range(s))) for s in (2, 4, 6)]
 
     def test_each_clean_target_computed_once(self, small_corpus, monkeypatch):
         calls = []
@@ -368,14 +386,15 @@ class TestTrain:
         def extra(t, step):
             return {**moments, "opt.t": np.array(t, dtype=np.float32), "train.step": np.array(step, dtype=np.float32)}
 
-        state, start = obj.resume_state(extra([2.0**24], [0.0]))
-        assert (state.t, start) == (2**24, 0)
+        state = obj.resume_state(extra([2.0**24], [2.0**24]))
+        assert state.t == 2**24
         assert state.m["w"] is moments["opt.m.w"] and state.v["w"] is moments["opt.v.w"]
         bad = [
             ([2.0**24 + 2], [1.0], "opt.t"),
             ([1.0, 2.0], [1.0], "opt.t"),
             ([1.0], [np.nan], "train.step"),
             ([1.0], 1.0, "train.step"),
+            ([2.0**24], [0.0], "opt.t is 16777216 but train.step is 0"),
         ]
         for t, step, name in bad:
             with pytest.raises(ValueError, match=name):
