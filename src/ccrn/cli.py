@@ -184,8 +184,6 @@ def cmd_synth(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume: str | None) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     waves = _load_corpus(config, manifest_path)
 
     opt_state = None
@@ -197,6 +195,9 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
     else:
         model = netmodel.build_model(config.model, seed=config.train.seed)
 
+    # the corpus and the resume state are read first, so a rejected input leaves no directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     reports = objectives.train(
         model,
         waves,

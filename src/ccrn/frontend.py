@@ -4,7 +4,7 @@ Turns a 16 kHz waveform into the 876-dim network input (log FFT of the
 25 ms stream stacked with mel filterbank + cepstral features of the 25, 50
 and 75 ms streams, all on a 10 ms hop) and the 512-dim log-spectrum
 target, and reconstructs a waveform from an enhanced log spectrum plus the
-corrupted-signal phase. All functions are pure.
+corrupted-signal phase. All public functions are pure.
 """
 
 from __future__ import annotations
@@ -87,9 +87,13 @@ class PhaseSpectrogram:
             raise ValueError(f"phase spectrogram must be T x {FFT_BINS // 2 + 1}, got shape {self.frames.shape}")
 
 
+@lru_cache(maxsize=None)
 def _hamming_periodic(length: int) -> np.ndarray:
+    """Read-only periodic Hamming window of ``length`` samples."""
     n = np.arange(length)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length)
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length)
+    window.flags.writeable = False
+    return window
 
 
 def _window_samples(win_ms: float) -> int:
@@ -126,28 +130,55 @@ def _fft_size(win: int) -> int:
     return p
 
 
-def _analysis(w: Waveform, win_ms: float) -> np.ndarray:
-    """rfft of the Hamming-windowed frames of one stream (10 ms hop).
+class _Scratch:
+    """Grow-only work buffers that ``_features`` fills in place.
 
-    The windowed frames are written straight into a zero-padded
-    T x nfft buffer, so the one transform needs no further copy.
+    A caller that builds many feature sets keeps one, so the multi-MB frame,
+    rfft and feature buffers are allocated once, not per utterance. Only
+    one thread at a time may use a scratch; no returned array aliases it.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous ``shape`` view of buffer ``name``, grown if too small; contents undefined."""
+        size = shape[0] * shape[1]
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _analysis(w: Waveform, win_ms: float, scratch: _Scratch, n_frames: int | None = None) -> np.ndarray:
+    """rfft of the first ``n_frames`` (default all) Hamming-windowed frames of one stream (10 ms hop).
+
+    The windowed frames go straight into the scratch's zero-padded
+    T x nfft buffer and the transform into its spectrum buffer. The
+    returned view of that buffer lasts until the next analysis on
+    ``scratch``.
     """
     win = _window_samples(win_ms)
-    frames = frame_view(w.samples, win, _window_samples(HOP_MS))
-    buf = np.zeros((frames.shape[0], _fft_size(win)))
+    frames = frame_view(w.samples, win, _window_samples(HOP_MS))[:n_frames]
+    nfft = _fft_size(win)
+    buf = scratch.view("frames", (frames.shape[0], nfft))
     np.multiply(frames, _hamming_periodic(win), out=buf[:, :win])
-    return np.fft.rfft(buf, axis=1)
+    buf[:, win:] = 0.0
+    spectrum = scratch.view("spectrum", (frames.shape[0], nfft // 2 + 1), np.complex128)
+    return np.fft.rfft(buf, axis=1, out=spectrum)
 
 
-def _log_magnitude(magnitude: np.ndarray, nfft: int) -> np.ndarray:
-    """All ``nfft`` log-magnitude bins from the ``nfft // 2 + 1`` rfft bins.
+def _log_magnitude(magnitude: np.ndarray, nfft: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All ``nfft`` log-magnitude bins from the ``nfft // 2 + 1`` rfft bins, into ``out`` if given.
 
     A real frame's spectrum is Hermitian, so bins nfft//2+1 .. nfft-1 are
     the mirror of bins (nfft-1)//2 .. 1. Magnitudes are floored at 1e-10.
     """
     half = magnitude.shape[1]
-    out = np.empty((magnitude.shape[0], nfft))
-    np.log(np.maximum(magnitude, MAG_FLOOR), out=out[:, :half])
+    if out is None:
+        out = np.empty((magnitude.shape[0], nfft))
+    np.maximum(magnitude, MAG_FLOOR, out=out[:, :half])
+    np.log(out[:, :half], out=out[:, :half])
     out[:, half:] = out[:, (nfft - 1) // 2:0:-1]
     return out
 
@@ -175,10 +206,11 @@ def _mel_filterbank(n_mels: int, nfft: int) -> np.ndarray:
     return filters
 
 
-def _mel_from_power(power: np.ndarray, n_mels: int) -> np.ndarray:
-    """Log mel energies of T x (nfft/2 + 1) rfft power spectra."""
-    energies = power @ _mel_filterbank(n_mels, 2 * (power.shape[1] - 1)).T
-    return np.log(np.maximum(energies, MAG_FLOOR))
+def _mel_from_power(power: np.ndarray, n_mels: int, out: np.ndarray) -> None:
+    """Log mel energies of T x (nfft/2 + 1) rfft power spectra, written into T x ``n_mels`` ``out``."""
+    np.matmul(power, _mel_filterbank(n_mels, 2 * (power.shape[1] - 1)).T, out=out)
+    np.maximum(out, MAG_FLOOR, out=out)
+    np.log(out, out=out)
 
 
 def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
@@ -186,37 +218,54 @@ def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
     return scipy.fft.dct(np.asarray(log_mel), type=2, norm="ortho", axis=1)
 
 
-def _features(w: Waveform) -> tuple[FeatureSequence, np.ndarray]:
-    """The 876-dim features of ``assemble_features`` and the 25 ms rfft, both cut to T frames.
+def _phase(spectrum: np.ndarray) -> PhaseSpectrogram:
+    """Phase of an rfft in (-pi, pi]: ``np.angle`` with -pi folded onto pi."""
+    phase = np.angle(spectrum)
+    return PhaseSpectrogram(np.where(phase <= -np.pi, np.pi, phase))
 
+
+def _features(
+    w: Waveform, scratch: _Scratch, with_phase: bool = False
+) -> tuple[FeatureSequence, PhaseSpectrogram | None]:
+    """The features of ``assemble_features``, and its phase if ``with_phase``.
+
+    Every stream is analysed for the T frames of the 75 ms stream only, and
+    its columns are written straight into the scratch's raw T x 876
+    matrix. The returned arrays are fresh; none aliases ``scratch``.
     Training uses the features alone and so skips the phase.
     """
-    if w.samples.size < _window_samples(75.0):
+    win75 = _window_samples(75.0)
+    if w.samples.size < win75:
         raise ValueError("signal shorter than the 75 ms analysis window")
+    n_frames = frame_view(w.samples, win75, _window_samples(HOP_MS)).shape[0]
 
-    streams: list[np.ndarray] = []
-    spectrum25 = _analysis(w, 25.0)
-    magnitude25 = np.abs(spectrum25)
-    streams.append(_log_magnitude(magnitude25, FFT_BINS))
+    raw = scratch.view("raw", (n_frames, FEATURE_DIM))
+    phase = None
+    col = FFT_BINS
     for n_mels, win_ms in MEL_STREAMS:
+        spectrum = _analysis(w, win_ms, scratch, n_frames)
+        power = scratch.view("power", spectrum.shape)
         if win_ms == 25.0:
-            # the 25 ms power spectrum is already on hand from the log path
-            fbank = _mel_from_power(magnitude25**2, n_mels)
+            # the 25 ms magnitudes give the log FFT, then are squared into the power
+            if with_phase:
+                phase = _phase(spectrum)
+            np.abs(spectrum, out=power)
+            _log_magnitude(power, FFT_BINS, out=raw[:, :FFT_BINS])
+            np.square(power, out=power)
         else:
-            spectrum = _analysis(w, win_ms)
-            fbank = _mel_from_power(spectrum.real**2 + spectrum.imag**2, n_mels)
-        streams.append(fbank)
-        streams.append(cepstral_features(fbank))
+            np.square(spectrum.real, out=power)
+            # the padded frames are spent once transformed, so their buffer holds imag**2
+            imag_sq = np.square(spectrum.imag, out=scratch.view("frames", spectrum.shape))
+            np.add(power, imag_sq, out=power)
+        fbank = raw[:, col:col + n_mels]
+        _mel_from_power(power, n_mels, out=fbank)
+        raw[:, col + n_mels:col + 2 * n_mels] = cepstral_features(fbank)
+        col += 2 * n_mels
+    assert col == FEATURE_DIM, f"feature assembly produced width {col}"
 
-    n_frames = min(s.shape[0] for s in streams)
-    feats = np.concatenate([s[:n_frames] for s in streams], axis=1)
-    assert feats.shape[1] == FEATURE_DIM, f"feature assembly produced width {feats.shape[1]}"
-
-    std = feats.std(axis=0)
-    scale = np.where(std > CONSTANT_RTOL * np.abs(feats).max(axis=0), std, 1.0)
-    feats = feats / scale
-
-    return FeatureSequence(feats, scale), spectrum25[:n_frames]
+    std = raw.std(axis=0)
+    scale = np.where(std > CONSTANT_RTOL * np.abs(raw).max(axis=0), std, 1.0)
+    return FeatureSequence(raw / scale, scale), phase
 
 
 def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
@@ -231,15 +280,12 @@ def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
     divisors are recorded in ``norm_scale``; ``frames * norm_scale`` gives
     back the raw features up to rounding.
     """
-    feats, spectrum25 = _features(w)
-    phase = np.angle(spectrum25)
-    phase = np.where(phase <= -np.pi, np.pi, phase)
-    return feats, PhaseSpectrogram(phase)
+    return _features(w, _Scratch(), with_phase=True)
 
 
 def target_spectrum(w: Waveform) -> LogSpectrogram:
     """Raw (un-normalized) 512-dim log spectrum, the regression target."""
-    return LogSpectrogram(_log_magnitude(np.abs(_analysis(w, 25.0)), FFT_BINS))
+    return LogSpectrogram(_log_magnitude(np.abs(_analysis(w, 25.0, _Scratch())), FFT_BINS))
 
 
 def fold_spectrum(frames: np.ndarray, n_bands: int) -> np.ndarray:

@@ -318,6 +318,8 @@ def named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     return arrays
 
 
+# byte alignment of every loaded array within its checkpoint's one buffer
+_ARRAY_ALIGN = 64
 _KIND_CODES = {KIND_CCRN: 0, KIND_CCRN_STATE: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -338,20 +340,24 @@ def _read_exact(fh: BinaryIO, size: int) -> bytes:
     return data
 
 
-def _read_array(fh: BinaryIO, file_size: int) -> tuple[str, np.ndarray]:
-    """One named array, read into a fresh writable float32 buffer."""
+def _read_array(fh: BinaryIO, file_size: int, pool: np.ndarray, offset: int) -> tuple[str, np.ndarray, int]:
+    """One named array, read into ``pool`` from byte ``offset``.
+
+    Returns the name, the writable float32 view and the next
+    ``_ARRAY_ALIGN``-aligned offset.
+    """
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
     name = _read_exact(fh, name_len).decode("utf-8")
     (rank,) = struct.unpack("<B", _read_exact(fh, 1))
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     count = math.prod(dims)
-    # a corrupt dimension must not become a huge allocation
+    # a corrupt dimension must not read past the pool
     if 4 * count > file_size - fh.tell():
         raise ValueError("checkpoint is truncated")
-    data = np.empty(count, dtype="<f4")
+    data = pool[offset:offset + 4 * count].view("<f4")
     if fh.readinto(data) != data.nbytes:
         raise ValueError("checkpoint is truncated")
-    return name, data.reshape(dims)
+    return name, data.reshape(dims), offset + -(-data.nbytes // _ARRAY_ALIGN) * _ARRAY_ALIGN
 
 
 def save_checkpoint(path, model: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
@@ -378,8 +384,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
     """Rebuild a model from a CCRN01 checkpoint.
 
     Returns the model and any arrays in the file that are not model state
-    (e.g. optimizer moments). Every array is read once into the buffer the
-    model then holds. A malformed file raises
+    (e.g. optimizer moments). Every array is read once, straight into its
+    aligned slot of one buffer that the model then holds: one large
+    allocation, which the OS maps in huge pages where it can, in place of
+    one heap block per array. A malformed file raises
     ``ValueError`` naming ``path``: bad magic or kind, a truncated file, a
     duplicate or missing array, or an array whose shape differs from the
     one the config implies.
@@ -396,9 +404,14 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
             config = ModelConfig(_KIND_NAMES[kind_code], blocks, channels, state_step, kernel, input_dim)
             (count,) = struct.unpack("<I", _read_exact(fh, 4))
             file_size = os.fstat(fh.fileno()).st_size
+            # a record takes at least 3 bytes, so a corrupt count cannot size a huge pool
+            if count > (file_size - fh.tell()) // 3:
+                raise ValueError("checkpoint is truncated")
+            pool = np.empty(file_size + _ARRAY_ALIGN * (count + 1), dtype=np.uint8)
+            offset = -pool.ctypes.data % _ARRAY_ALIGN
             arrays: dict[str, np.ndarray] = {}
             for _ in range(count):
-                name, arr = _read_array(fh, file_size)
+                name, arr, offset = _read_array(fh, file_size, pool, offset)
                 if name in arrays:
                     raise ValueError(f"duplicate array {name!r}")
                 arrays[name] = arr

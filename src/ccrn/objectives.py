@@ -200,6 +200,7 @@ def sample_example(
     index: int,
     *,
     targets: dict[int, LogSpectrogram] | None = None,
+    scratch: frontend._Scratch | None = None,
 ) -> tuple[FeatureSequence, LogSpectrogram]:
     """Deterministic (noisy features, clean target) pair for one step index.
 
@@ -211,12 +212,16 @@ def sample_example(
     ``targets`` memoizes each utterance's full (read-only) clean log
     spectrum by corpus index, so a caller drawing many examples from one
     fixed corpus computes each target once; it costs one T x 512 float64
-    array per distinct utterance.
+    array per distinct utterance. ``scratch`` is the front-end's work
+    buffer (a fresh one by default); a caller drawing many examples on one
+    thread passes the same one to every call.
     """
     if not corpus:
         raise ValueError("empty corpus")
     if targets is None:
         targets = {}
+    if scratch is None:
+        scratch = frontend._Scratch()
     for attempt in range(4 * len(corpus) + 4):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index, attempt)))
         pick = int(rng.integers(len(corpus)))
@@ -231,7 +236,7 @@ def sample_example(
             seed=noise_seed,
         )
         noisy = corpus_mod.corrupt(clean, spec)
-        feats, _ = frontend._features(noisy)
+        feats, _ = frontend._features(noisy, scratch)
         n_frames = feats.frames.shape[0]
         if n_frames < cfg.seq_len:
             continue
@@ -249,12 +254,18 @@ def sample_example(
 
 
 def _batch(
-    corpus, cfg: TrainConfig, step: int, dtype, n_bands: int, clean_targets: dict[int, LogSpectrogram] | None = None
+    corpus,
+    cfg: TrainConfig,
+    step: int,
+    dtype,
+    n_bands: int,
+    clean_targets: dict[int, LogSpectrogram] | None = None,
+    scratch: frontend._Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     feats = np.empty((cfg.batch_size, cfg.seq_len, frontend.FEATURE_DIM), dtype=dtype)
     targets = np.empty((cfg.batch_size, cfg.seq_len, n_bands), dtype=dtype)
     for j in range(cfg.batch_size):
-        f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets)
+        f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets, scratch=scratch)
         feats[j] = f.frames
         targets[j] = y.frames if n_bands == y.frames.shape[1] else frontend.fold_spectrum(y.frames, n_bands)
     return feats, targets
@@ -362,6 +373,7 @@ def train(
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
     clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
+    scratch = frontend._Scratch()  # only the one thread that builds batches uses it
     log = None
 
     def save() -> None:
@@ -375,7 +387,7 @@ def train(
         netmodel.save_checkpoint(checkpoint_path, model, extra)
 
     def build(step: int) -> tuple[np.ndarray, np.ndarray]:
-        return _batch(corpus, cfg, step, dtype, model.config.channels, clean_targets)
+        return _batch(corpus, cfg, step, dtype, model.config.channels, clean_targets, scratch)
 
     with contextlib.ExitStack() as stack:
         writer = None

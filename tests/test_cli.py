@@ -429,6 +429,24 @@ class TestTrain:
         assert err == "error: checkpoint opt.t is 4 but train.step is 2; they must agree\n"
         assert not (tmp_path / "resumed" / "train_log.csv").exists()
 
+    @pytest.mark.parametrize(
+        "failure, code", [("missing manifest", 2), ("bad manifest row", 1), ("rejected checkpoint", 1)]
+    )
+    def test_rejected_input_leaves_no_out_directory(self, trained_run, tmp_path, capsys, failure, code):
+        manifest = tmp_path / "manifest.csv"
+        checkpoint = tmp_path / "checkpoint.bin"
+        if failure == "bad manifest row":
+            manifest.write_text("id,path,duration_s\nutt000,clean/utt000.wav\n")
+        model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")
+        del extra["opt.t"]
+        nm.save_checkpoint(checkpoint, model, extra)
+        argv = ["train", "--config", str(trained_run / "train.cfg"), "--out", str(tmp_path / "out" / "run")]
+        argv += ["--resume", str(checkpoint)] if failure == "rejected checkpoint" else ["--corpus", str(manifest)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("damage", ["blank line", "row cut short", "non-integer step"])
     def test_damaged_log_on_resume_exits_1(self, trained_run, tmp_path, capsys, damage):
         run = tmp_path / "run"

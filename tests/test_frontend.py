@@ -223,6 +223,40 @@ class TestAssemble:
             fe.assemble_features(fe.Waveform(np.zeros(800)))
 
 
+def feature_bytes(feats):
+    return feats.frames.tobytes() + feats.norm_scale.tobytes()
+
+
+class TestScratch:
+    def test_reused_scratch_matches_fresh_over_mixed_lengths(self):
+        scratch = fe._Scratch()
+        for duration, seed in ((2.0, 31), (0.3, 32), (1.1, 33), (2.4, 34)):
+            w = corpus.synth_speech(duration, seed=seed)
+            reused, _ = fe._features(w, scratch)
+            fresh, _ = fe._features(w, fe._Scratch())
+            assert feature_bytes(reused) == feature_bytes(fresh)
+
+    def test_returned_features_do_not_alias_the_scratch(self, speech):
+        scratch = fe._Scratch()
+        first, _ = fe._features(speech, scratch)
+        kept = feature_bytes(first)
+        fe._features(fe.Waveform(speech.samples[::-1].copy()), scratch)
+        assert feature_bytes(first) == kept
+
+    def test_second_call_at_the_same_length_reuses_every_buffer(self, speech):
+        scratch = fe._Scratch()
+        fe._features(speech, scratch)
+        before = {name: flat.ctypes.data for name, flat in scratch._flat.items()}
+        fe._features(fe.Waveform(0.5 * speech.samples), scratch)
+        assert before and {name: flat.ctypes.data for name, flat in scratch._flat.items()} == before
+
+    def test_phase_equals_angle_of_a_fresh_rfft(self, speech):
+        _, phase = fe.assemble_features(speech)
+        n = phase.frames.shape[0]
+        angle = np.angle(np.fft.rfft(fe.frame_signal(speech, 25.0), 512, axis=1)[:n])
+        assert phase.frames.tobytes() == np.where(angle <= -np.pi, np.pi, angle).tobytes()
+
+
 class TestReconstruct:
     def test_round_trip_snr(self, speech):
         spec = fe.target_spectrum(speech)

@@ -285,6 +285,23 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=path.name):
                 nm.load_checkpoint(path)
 
+    def test_corrupt_array_count_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nm.save_checkpoint(path, nm.build_model(tiny_config(), seed=7))
+        data = bytearray(path.read_bytes())
+        data[27:31] = (2**32 - 1).to_bytes(4, "little")  # after magic, kind byte and five u32
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="truncated"):
+            nm.load_checkpoint(path)
+
+    def test_loaded_arrays_are_aligned_and_disjoint(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nm.save_checkpoint(path, nm.build_model(tiny_config("ccrn-state"), seed=7))
+        arrays = [arr for _, arr in nm.named_arrays(nm.load_checkpoint(path)[0])]
+        assert all(arr.ctypes.data % 64 == 0 for arr in arrays)
+        spans = sorted((arr.ctypes.data, arr.ctypes.data + arr.nbytes) for arr in arrays)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
     @pytest.mark.parametrize("kind", ["ccrn", "ccrn-state"])
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, kind):
         model = nm.build_model(tiny_config(kind), seed=8)

@@ -380,6 +380,14 @@ class TestTrain:
         obj.train(model, small_corpus, small_train_config(steps=4))
         assert calls and len(calls) == len(set(calls))
 
+    def test_batches_through_one_scratch_match_fresh_scratches(self, small_corpus):
+        cfg = small_train_config(batch_size=3)
+        scratch = fe._Scratch()
+        for step in range(4):
+            shared = obj._batch(small_corpus, cfg, step, np.float32, 64, scratch=scratch)
+            fresh = obj._batch(small_corpus, cfg, step, np.float32, 64, scratch=fe._Scratch())
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, fresh))
+
     def test_step_counters_validated_on_resume(self):
         moments = {"opt.m.w": np.ones(2, dtype=np.float32), "opt.v.w": np.ones(2, dtype=np.float32)}
 
