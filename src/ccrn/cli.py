@@ -30,14 +30,6 @@ class CommandError(RuntimeError):
     pass
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
@@ -80,7 +72,6 @@ _CONFIG_KEYS = {
     "train.steps": ("train", "steps", int),
     "train.seed": ("train", "seed", int),
     "train.checkpoint_interval": ("train", "checkpoint_interval", int),
-    "train.sum_excludes_final": ("train", "sum_excludes_final", _parse_bool),
     "corpus.rt60": ("train", "rt60_choices", _parse_floats),
     "corpus.drr_db": ("train", "drr_choices", _parse_floats),
     "corpus.snr_db": ("train", "snr_db", float),
@@ -192,6 +183,7 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
         if model.config != config.model:
             raise ConfigError(f"checkpoint model {model.config} does not match configured {config.model}")
         opt_state = objectives.resume_state(extra)
+        objectives.check_start(opt_state, config.train)
     else:
         model = netmodel.build_model(config.model, seed=config.train.seed)
 

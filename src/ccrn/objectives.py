@@ -56,7 +56,6 @@ class TrainConfig:
     drr_choices: tuple[float, ...] = (5.0, -5.0)
     snr_db: float = 20.0
     noise_kind: str = "speech-shaped"
-    sum_excludes_final: bool = False
     checkpoint_interval: int = 500
 
     def __post_init__(self):
@@ -118,26 +117,23 @@ def mse_cost(target, estimate) -> float:
     return progressive_cost(target, [estimate], alpha=0.0).main
 
 
-def progressive_cost(target, probes, alpha: float, exclude_final: bool = False) -> CostReport:
+def progressive_cost(target, probes, alpha: float) -> CostReport:
     """Final-block cost plus the alpha-weighted mean of all block costs.
 
     The report ``cost_graph`` gives for the same block outputs (a
     ``ProbeTrace``, or a sequence of spectrograms or arrays), computed
-    without a graph. ``exclude_final`` drops the last block from the
-    auxiliary sum (normalizing by L-1) for ablation; by default the sum
-    runs over every block, so the final block is counted in both terms.
+    without a graph. The mean runs over every block, so the final block
+    is counted in both terms.
     """
 
     def frames(x):
         return x.frames if isinstance(x, LogSpectrogram) else x
 
     with diffcore.no_grad():
-        return cost_graph([Node(frames(p)) for p in probes], frames(target), alpha, exclude_final)[1]
+        return cost_graph([Node(frames(p)) for p in probes], frames(target), alpha)[1]
 
 
-def cost_graph(
-    probes: Sequence[Node], target: np.ndarray, alpha: float, exclude_final: bool = False
-) -> tuple[Node, CostReport]:
+def cost_graph(probes: Sequence[Node], target: np.ndarray, alpha: float) -> tuple[Node, CostReport]:
     """Differentiable cost node plus the per-block report for logging.
 
     Each block's probe gets one cost node; the last block's node is the
@@ -150,11 +146,10 @@ def cost_graph(
         raise ValueError("progressive cost needs at least one block output")
     block_costs = [diffcore.mse(p, target) for p in probes]
     main = block_costs[-1]
-    aux_nodes = block_costs[:-1] if exclude_final else block_costs
-    if alpha == 0.0 or not aux_nodes:
+    if alpha == 0.0:
         total = main
     else:
-        aux = diffcore.scale(diffcore.add_scalars(aux_nodes), alpha / len(aux_nodes))
+        aux = diffcore.scale(diffcore.add_scalars(block_costs), alpha / len(block_costs))
         total = diffcore.add_scalars([main, aux])
     per_block = [float(node.value) for node in block_costs]
     return total, CostReport(float(total.value), per_block[-1], per_block)
@@ -367,8 +362,7 @@ def train(
     """
     params = netmodel.named_parameters(model)
     state = opt_state if opt_state is not None else OptimizerState()
-    if state.t > cfg.steps:
-        raise ValueError(f"optimizer state is at step {state.t}, past the configured {cfg.steps} steps")
+    check_start(state, cfg)
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
@@ -406,7 +400,7 @@ def train(
         steps = range(state.t, cfg.steps)
         for step, (x_np, y_np) in zip(steps, _batches(build, steps, pool)):
             _, probes = netmodel.forward_nodes(model, Node(x_np), want_probes=True)
-            total, report = cost_graph(probes, y_np, cfg.alpha, cfg.sum_excludes_final)
+            total, report = cost_graph(probes, y_np, cfg.alpha)
             if not math.isfinite(report.total):
                 raise TrainingDiverged(f"cost became {report.total} at step {step}")
             diffcore.zero_grads(node for _, node in params)
@@ -459,6 +453,12 @@ def _step_counter(extra: dict[str, np.ndarray], name: str) -> int:
     if not (value.is_integer() and 0 <= value <= MAX_STEPS):
         raise ValueError(f"checkpoint {name} is {value}, expected a whole number in [0, 2**24]")
     return int(value)
+
+
+def check_start(state: OptimizerState, cfg: TrainConfig) -> None:
+    """Reject an optimizer state already past ``cfg.steps``."""
+    if state.t > cfg.steps:
+        raise ValueError(f"optimizer state is at step {state.t}, past the configured {cfg.steps} steps")
 
 
 def resume_state(extra: dict[str, np.ndarray]) -> OptimizerState:

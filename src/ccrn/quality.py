@@ -2,7 +2,9 @@
 
 LLR compares all-pole spectral envelopes (order-16 LPC via Levinson-Durbin
 on the biased autocorrelation) of reference and test frames, capped at 2
-and averaged over the reference's active frames. SRMR passes the signal
+and averaged over the reference's active frames. One recursion, vectorised
+over the rows of a frame matrix, models every active frame of both signals
+in one pass; ``lpc`` is its one-frame case. SRMR passes the signal
 through a 23-channel gammatone filterbank (125 Hz - 8 kHz, ERB-spaced),
 takes analytic-signal envelopes, splits them with an 8-band modulation
 filterbank (4-128 Hz, log-spaced), and reports the energy ratio of the
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.signal
 
 from .frontend import SAMPLE_RATE, Waveform, frame_signal, frame_view
@@ -55,25 +56,37 @@ def vad_mask(w: Waveform) -> np.ndarray:
     return energy >= peak * 10.0 ** (-VAD_THRESHOLD_DB / 10.0)
 
 
+def _levinson(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levinson-Durbin on the biased autocorrelation of each row of an N x W frame matrix.
+
+    Returns the N x (order+1) coefficients (a[:, 0] = 1) and autocorrelations,
+    and each row's depth: the orders it completed while its prediction error
+    stayed positive (0 for a silent row). A valid row has depth ``order``.
+    """
+    n = frames.shape[1]
+    autocorr = np.stack([np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(order + 1)], 1) / n
+    a = np.zeros_like(autocorr)
+    a[:, 0] = 1.0
+    error = autocorr[:, 0].copy()
+    depth = np.zeros(len(frames), dtype=int)
+    for i in range(1, order + 1):
+        ok = error > 0.0  # a failed row keeps k = 0 from here on, so it stays failed
+        depth += ok
+        acc = autocorr[:, i] + np.einsum("ij,ij->i", a[:, 1:i], autocorr[:, i - 1:0:-1])
+        k = np.where(ok, -acc / np.where(ok, error, 1.0), 0.0)
+        a[:, 1:i + 1] += k[:, None] * a[:, i - 1::-1]
+        error *= 1.0 - k * k
+    return a, autocorr, depth
+
+
 def lpc(frame: np.ndarray, order: int = LPC_ORDER) -> LpcFrame:
     """Levinson-Durbin on the biased autocorrelation of a windowed frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    n = frame.size
-    autocorr = np.array([np.dot(frame[: n - k], frame[k:]) for k in range(order + 1)]) / n
-    if autocorr[0] <= 0.0:
+    coeffs, autocorr, depth = _levinson(np.asarray(frame, dtype=np.float64)[None, :], order)
+    if autocorr[0, 0] <= 0.0:
         raise LpcError("silent frame: zero-lag autocorrelation is not positive")
-
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    error = autocorr[0]
-    for i in range(1, order + 1):
-        acc = autocorr[i] + np.dot(a[1:i], autocorr[i - 1:0:-1])
-        if error <= 0.0:
-            raise LpcError(f"singular recursion at order {i}")
-        k = -acc / error
-        a[1:i + 1] += k * a[i - 1::-1][:i]
-        error *= 1.0 - k * k
-    return LpcFrame(a, autocorr)
+    if depth[0] < order:
+        raise LpcError(f"singular recursion at order {depth[0] + 1}")
+    return LpcFrame(coeffs[0], autocorr[0])
 
 
 def llr(reference: Waveform, test: Waveform) -> float:
@@ -82,41 +95,26 @@ def llr(reference: Waveform, test: Waveform) -> float:
     Per frame: log of the test-coefficient to reference-coefficient
     quadratic forms under the reference autocorrelation matrix, floored at
     0 and capped at 2. The test signal is trimmed or zero-padded to the
-    reference length. Lower is better.
+    reference length. Frames where either model fails are skipped. Lower
+    is better.
     """
-    ref = reference.samples
-    tst = test.samples
-    if tst.size < ref.size:
-        tst = np.concatenate([tst, np.zeros(ref.size - tst.size)])
-    elif tst.size > ref.size:
-        tst = tst[: ref.size]
-
     active = vad_mask(reference)
     if not active.any():
         raise ValueError("reference has no active frames")
+    n = reference.samples.size
+    tst = Waveform(np.pad(test.samples[:n], (0, max(0, n - test.samples.size))))
 
-    ref_frames = frame_signal(reference, 25.0)
-    tst_frames = frame_signal(Waveform(tst), 25.0)
-    n = min(len(active), ref_frames.shape[0], tst_frames.shape[0])
-
-    values = []
-    for idx in range(n):
-        if not active[idx]:
-            continue
-        try:
-            ref_lpc = lpc(ref_frames[idx])
-            tst_lpc = lpc(tst_frames[idx])
-        except LpcError:
-            continue
-        r_matrix = scipy.linalg.toeplitz(ref_lpc.autocorr)
-        denominator = float(ref_lpc.coeffs @ r_matrix @ ref_lpc.coeffs)
-        numerator = float(tst_lpc.coeffs @ r_matrix @ tst_lpc.coeffs)
-        if denominator <= 0.0 or numerator <= 0.0:
-            continue
-        values.append(min(max(math.log(numerator / denominator), 0.0), LLR_CAP))
-    if not values:
+    # reference rows, then test rows: one stack, so equal frames get bit-equal models
+    frames = np.concatenate([frame_signal(reference, 25.0)[active], frame_signal(tst, 25.0)[active]])
+    coeffs, autocorr, depth = _levinson(frames, LPC_ORDER)
+    m = len(frames) // 2
+    lags = np.abs(np.subtract.outer(np.arange(LPC_ORDER + 1), np.arange(LPC_ORDER + 1)))
+    pair = coeffs.reshape(2, m, LPC_ORDER + 1)
+    denominator, numerator = np.einsum("sfi,fij,sfj->sf", pair, autocorr[:m, lags], pair)
+    keep = (depth.reshape(2, m) == LPC_ORDER).all(axis=0) & (denominator > 0.0) & (numerator > 0.0)
+    if not keep.any():
         raise ValueError("no scorable active frames")
-    return float(np.mean(values))
+    return float(np.mean(np.clip(np.log(numerator[keep] / denominator[keep]), 0.0, LLR_CAP)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ class TestConfigParsing:
             parse_config_text("model.depth = 3")
         with pytest.raises(ConfigError, match="unknown key 'paths.out'"):
             parse_config_text("paths.out = /tmp/run")
+        with pytest.raises(ConfigError, match="unknown key 'train.sum_excludes_final'"):
+            parse_config_text("train.sum_excludes_final = true")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -98,7 +100,7 @@ class TestPublicSurface:
         assert list(cli._CONFIG_KEYS) == [
             "model.kind", "model.blocks", "model.channels", "model.state_step", "model.kernel",
             "train.alpha", "train.seq_len", "train.batch_size", "train.lr", "train.weight_decay",
-            "train.steps", "train.seed", "train.checkpoint_interval", "train.sum_excludes_final",
+            "train.steps", "train.seed", "train.checkpoint_interval",
             "corpus.rt60", "corpus.drr_db", "corpus.snr_db", "corpus.noise",
             "corpus.utterances", "corpus.duration", "corpus.seed",
         ]
@@ -127,7 +129,7 @@ class TestPublicSurface:
             "RunConfig": ["model", "train", "utterances", "duration_s", "corpus_seed"],
             "TrainConfig": [
                 "alpha", "seq_len", "batch_size", "lr", "weight_decay", "steps", "seed", "rt60_choices",
-                "drr_choices", "snr_db", "noise_kind", "sum_excludes_final", "checkpoint_interval",
+                "drr_choices", "snr_db", "noise_kind", "checkpoint_interval",
             ],
             "ModelConfig": ["kind", "blocks", "channels", "state_step", "kernel", "input_dim"],
         }
@@ -429,19 +431,23 @@ class TestTrain:
         assert err == "error: checkpoint opt.t is 4 but train.step is 2; they must agree\n"
         assert not (tmp_path / "resumed" / "train_log.csv").exists()
 
-    @pytest.mark.parametrize(
-        "failure, code", [("missing manifest", 2), ("bad manifest row", 1), ("rejected checkpoint", 1)]
-    )
+    @pytest.mark.parametrize("failure, code", [
+        ("missing manifest", 2), ("bad manifest row", 1), ("rejected checkpoint", 1), ("resume past the steps", 1),
+    ])
     def test_rejected_input_leaves_no_out_directory(self, trained_run, tmp_path, capsys, failure, code):
         manifest = tmp_path / "manifest.csv"
         checkpoint = tmp_path / "checkpoint.bin"
+        cfg = tmp_path / "train.cfg"
         if failure == "bad manifest row":
             manifest.write_text("id,path,duration_s\nutt000,clean/utt000.wav\n")
-        model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")
-        del extra["opt.t"]
+        model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")  # at step 4
+        if failure == "rejected checkpoint":
+            del extra["opt.t"]
         nm.save_checkpoint(checkpoint, model, extra)
-        argv = ["train", "--config", str(trained_run / "train.cfg"), "--out", str(tmp_path / "out" / "run")]
-        argv += ["--resume", str(checkpoint)] if failure == "rejected checkpoint" else ["--corpus", str(manifest)]
+        steps = "train.steps = 3\n" if failure == "resume past the steps" else ""
+        cfg.write_text((trained_run / "train.cfg").read_text() + steps)
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out" / "run")]
+        argv += ["--corpus", str(manifest)] if "manifest" in failure else ["--resume", str(checkpoint)]
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -102,12 +102,6 @@ class TestProgressiveCost:
         assert abs(report.total - (1.0 + 0.1 * (7.0 / 3.0))) < 1e-12
         assert [round(c, 9) for c in report.per_block] == [4.0, 2.0, 1.0]
 
-    def test_exclude_final_switch(self):
-        y = np.zeros((1, 2))
-        probes = [np.full((1, 2), 2.0), np.full((1, 2), 1.0)]
-        report = obj.progressive_cost(y, probes, alpha=0.5, exclude_final=True)
-        assert abs(report.total - (1.0 + 0.5 * 4.0)) < 1e-12
-
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError, match="block"):
             obj.progressive_cost(np.zeros((2, 2)), [], alpha=0.1)

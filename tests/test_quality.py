@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ccrn import corpus as cp, quality as q
-from ccrn.frontend import SAMPLE_RATE, Waveform
+from ccrn.frontend import SAMPLE_RATE, Waveform, frame_signal
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,50 @@ class TestLlr:
         w = cp.synth_speech(1.5, seed=112)
         shorter = Waveform(w.samples[:-1000])
         assert np.isfinite(q.llr(w, shorter))
+
+
+def llr_by_toeplitz(reference, test):
+    """LLR one frame at a time: LPC through scipy's Toeplitz solver, invalid frames skipped."""
+    n = reference.samples.size
+    padded = np.zeros(n)
+    padded[: min(n, test.samples.size)] = test.samples[:n]
+    ref_frames, tst_frames = frame_signal(reference, 25.0), frame_signal(Waveform(padded), 25.0)
+    values = []
+    for idx in np.flatnonzero(q.vad_mask(reference)):
+        models = []
+        for frame in (ref_frames[idx], tst_frames[idx]):
+            r = np.correlate(frame, frame, mode="full")[frame.size - 1:frame.size + q.LPC_ORDER] / frame.size
+            if r[0] > 0.0:
+                models.append((np.concatenate([[1.0], scipy.linalg.solve_toeplitz(r[:-1], -r[1:])]), r))
+        if len(models) < 2:
+            continue
+        r_matrix = scipy.linalg.toeplitz(models[0][1])
+        denominator, numerator = (a @ r_matrix @ a for a, _ in models)
+        if denominator > 0.0 and numerator > 0.0:
+            values.append(min(max(np.log(numerator / denominator), 0.0), q.LLR_CAP))
+    return float(np.mean(values))
+
+
+class TestLlrOracle:
+    """``llr`` against a frame-by-frame evaluation through scipy's Toeplitz routines."""
+
+    def test_corrupted_pairs(self, utterances):
+        for i, clean in enumerate(utterances[:6]):
+            noisy = corrupted(clean, i, (0.25, 0.5, 0.7)[i % 3])
+            assert abs(q.llr(clean, noisy) - llr_by_toeplitz(clean, noisy)) < 1e-12
+
+    def test_shorter_test_signal(self, utterances):
+        clean = utterances[1]
+        shorter = Waveform(corrupted(clean, 1, 0.5).samples[:-3000])
+        assert abs(q.llr(clean, shorter) - llr_by_toeplitz(clean, shorter)) < 1e-12
+
+    def test_silent_test_frames_are_dropped(self, utterances):
+        clean = utterances[2]
+        half = clean.samples.size // 2
+        test = Waveform(np.concatenate([corrupted(clean, 2, 0.5).samples[:half], np.zeros(clean.samples.size - half)]))
+        silent = np.all(frame_signal(test, 25.0) == 0.0, axis=1)
+        assert np.any(silent & q.vad_mask(clean))  # active reference frames with no test model
+        assert abs(q.llr(clean, test) - llr_by_toeplitz(clean, test)) < 1e-12
 
 
 class TestSrmr:
