@@ -177,17 +177,17 @@ def cmd_synth(config: RunConfig, out_dir: str) -> int:
 def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume: str | None) -> int:
     waves = _load_corpus(config, manifest_path)
 
-    opt_state = None
+    opt_state = objectives.OptimizerState()
     if resume is not None:
         model, extra = netmodel.load_checkpoint(resume)
         if model.config != config.model:
             raise ConfigError(f"checkpoint model {model.config} does not match configured {config.model}")
         opt_state = objectives.resume_state(extra)
-        objectives.check_start(opt_state, config.train)
     else:
         model = netmodel.build_model(config.model, seed=config.train.seed)
+    objectives.check_start(opt_state, config.train, waves)
 
-    # the corpus and the resume state are read first, so a rejected input leaves no directory
+    # the corpus and the resume state are read and checked first, so a rejected input leaves no directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = objectives.train(

@@ -253,6 +253,8 @@ def read_wav(path) -> Waveform:
             data = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError) as err:
         raise ValueError(f"{path}: not a readable PCM WAV file ({err})") from err
+    if len(data) % 2:
+        raise ValueError(f"{path}: data chunk ends mid-sample ({len(data)} bytes of 16-bit samples)")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples)
 

@@ -224,6 +224,11 @@ def _phase(spectrum: np.ndarray) -> PhaseSpectrogram:
     return PhaseSpectrogram(np.where(phase <= -np.pi, np.pi, phase))
 
 
+def _n_frames(n_samples: int) -> int:
+    """Feature frames of an ``n_samples`` signal: those of its 75 ms stream, 0 if it is shorter than one window."""
+    return max(0, (n_samples - _window_samples(75.0)) // _window_samples(HOP_MS) + 1)
+
+
 def _features(
     w: Waveform, scratch: _Scratch, with_phase: bool = False
 ) -> tuple[FeatureSequence, PhaseSpectrogram | None]:
@@ -234,10 +239,9 @@ def _features(
     matrix. The returned arrays are fresh; none aliases ``scratch``.
     Training uses the features alone and so skips the phase.
     """
-    win75 = _window_samples(75.0)
-    if w.samples.size < win75:
+    n_frames = _n_frames(w.samples.size)
+    if not n_frames:
         raise ValueError("signal shorter than the 75 ms analysis window")
-    n_frames = frame_view(w.samples, win75, _window_samples(HOP_MS)).shape[0]
 
     raw = scratch.view("raw", (n_frames, FEATURE_DIM))
     phase = None

@@ -350,8 +350,9 @@ def train(
 ) -> list[CostReport]:
     """Run AdamW updates of the (progressive) cost; returns per-step reports.
 
-    Starts at step ``opt_state.t`` (0 without a state) and refuses a state
-    past ``cfg.steps`` before it touches a file. Writes one CSV row per
+    Starts at step ``opt_state.t`` (0 without a state). Before it touches a
+    file it refuses a state past ``cfg.steps``, and a corpus with no
+    utterance of ``cfg.seq_len`` frames. Writes one CSV row per
     step to ``log_path``; a resumed run first rewrites the log as the
     header plus its rows below that step, and a damaged row is a
     ``ValueError`` naming ``<log>:<line>``. Refreshes ``checkpoint_path``
@@ -362,7 +363,7 @@ def train(
     """
     params = netmodel.named_parameters(model)
     state = opt_state if opt_state is not None else OptimizerState()
-    check_start(state, cfg)
+    check_start(state, cfg, corpus)
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
@@ -455,10 +456,14 @@ def _step_counter(extra: dict[str, np.ndarray], name: str) -> int:
     return int(value)
 
 
-def check_start(state: OptimizerState, cfg: TrainConfig) -> None:
-    """Reject an optimizer state already past ``cfg.steps``."""
+def check_start(state: OptimizerState, cfg: TrainConfig, corpus: Sequence[Waveform]) -> None:
+    """Reject an optimizer state already past ``cfg.steps``, and a corpus with no ``cfg.seq_len``-frame utterance."""
     if state.t > cfg.steps:
         raise ValueError(f"optimizer state is at step {state.t}, past the configured {cfg.steps} steps")
+    if not corpus:
+        raise ValueError("empty corpus")
+    if max(frontend._n_frames(w.samples.size) for w in corpus) < cfg.seq_len:
+        raise ValueError(f"no utterance long enough for {cfg.seq_len} frames")
 
 
 def resume_state(extra: dict[str, np.ndarray]) -> OptimizerState:

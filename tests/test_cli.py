@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import filecmp
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,25 @@ class TestSynth:
             assert clean == noisy
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_wav_cut_mid_sample_exits_1_naming_it(synth_dir, tmp_path, capsys, command):
+    shutil.copytree(synth_dir / "clean", tmp_path / "clean")
+    shutil.copy(synth_dir / "manifest.csv", tmp_path)
+    cut = tmp_path / "clean" / "utt001.wav"
+    cut.write_bytes(cut.read_bytes()[:-1])
+    argv = {
+        "train": ["train", "--corpus", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "run")],
+        "evaluate": [
+            "evaluate", "--manifest", str(tmp_path / "manifest.csv"), "--enhanced-dir", str(synth_dir / "noisy"),
+            "--report", str(tmp_path / "report.csv"),
+        ],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cut}: data chunk ends mid-sample") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("train")
@@ -416,6 +436,21 @@ class TestTrain:
         assert err == "error: optimizer state is at step 4, past the configured 3 steps\n"
         for name in ("checkpoint.bin", "train_log.csv"):
             assert (run / name).read_bytes() == (trained_run / "run" / name).read_bytes()
+
+    def test_sequence_longer_than_every_utterance_exits_1_changing_nothing(self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("checkpoint.bin", "train_log.csv"):
+            (run / name).write_bytes((trained_run / "run" / name).read_bytes())
+        cfg = tmp_path / "long.cfg"
+        # 1.2 s utterances have 113 feature frames
+        cfg.write_text((trained_run / "train.cfg").read_text() + "train.seq_len = 114\n")
+        for out in (run, tmp_path / "new" / "run"):
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: no utterance long enough for 114 frames\n"
+        for name in ("checkpoint.bin", "train_log.csv"):
+            assert (run / name).read_bytes() == (trained_run / "run" / name).read_bytes()
+        assert not (tmp_path / "new").exists()
 
     def test_disagreeing_step_counters_exit_1(self, trained_run, tmp_path, capsys):
         model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")

@@ -164,6 +164,16 @@ class TestWavIO:
         with pytest.raises(ValueError, match="WAV"):
             cp.read_wav(path)
 
+    def test_data_chunk_ending_mid_sample_names_the_file(self, tmp_path):
+        import struct
+
+        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16)
+        body = b"WAVE" + fmt + struct.pack("<4sI", b"data", 6) + b"\1\0\2\0\3"  # claims 6 bytes, holds 5
+        path = tmp_path / "cut.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(ValueError, match=f"^{path}: data chunk ends mid-sample"):
+            cp.read_wav(path)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

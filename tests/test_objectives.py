@@ -243,6 +243,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="empty"):
             obj.sample_example([], small_train_config(), 0)
 
+    def test_check_start_takes_the_longest_utterance(self, small_corpus):
+        corpus = small_corpus + [cp.synth_speech(0.05, seed=69)]  # shorter than one 75 ms window
+        longest = max(fe.assemble_features(w)[0].frames.shape[0] for w in small_corpus)
+        obj.check_start(obj.OptimizerState(), small_train_config(seq_len=longest), corpus)
+        with pytest.raises(ValueError, match=f"no utterance long enough for {longest + 1} frames"):
+            obj.check_start(obj.OptimizerState(), small_train_config(seq_len=longest + 1), corpus)
+        with pytest.raises(ValueError, match="empty corpus"):
+            obj.check_start(obj.OptimizerState(), small_train_config(), [])
+
     def test_target_memo_is_bit_identical(self, small_corpus):
         cfg = small_train_config()
         memo = {}

@@ -1,8 +1,12 @@
 """Quality metrics: VAD, LPC, LLR, SRMR, and their corpus-level orderings."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 
 from ccrn import corpus as cp, quality as q
 from ccrn.frontend import SAMPLE_RATE, Waveform, frame_signal
@@ -183,6 +187,55 @@ class TestSrmr:
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError, match="zero-energy"):
             q.srmr(Waveform(np.zeros(16000)))
+
+
+def srmr_serial(w):
+    """SRMR one gammatone band at a time: fftconvolve, hilbert, sosfilt, summed in band order."""
+    band_energy = np.zeros(q.N_MOD_BANDS)
+    for g in q._gammatone_bank():
+        envelope = np.abs(scipy.signal.hilbert(scipy.signal.fftconvolve(w.samples, g)[: w.samples.size]))
+        for j, sos in enumerate(q._modulation_bank()):
+            filtered = scipy.signal.sosfilt(sos, envelope)
+            band_energy[j] += float(np.sum(filtered * filtered))
+    return float(np.sum(band_energy[: q.N_MOD_BANDS // 2])) / float(np.sum(band_energy[q.N_MOD_BANDS // 2:]))
+
+
+class TestSrmrOracle:
+    """``srmr`` against the serial filterbank, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def signals(self):
+        out = []
+        for i, n in enumerate((SAMPLE_RATE // 2, 12345, 3 * SAMPLE_RATE)):
+            clean = cp.synth_speech(n / SAMPLE_RATE, seed=140 + i)
+            assert clean.samples.size == n
+            out += [clean, corrupted(clean, i, 0.7)]
+        return out
+
+    def test_equals_serial_filterbank(self, signals):
+        for w in signals:
+            assert q.srmr(w) == srmr_serial(w)
+
+    def test_concurrent_calls_equal_serial_filterbank(self, signals):
+        # two calls at once put four band workers on the machine's cores
+        pair = signals[-2:]  # 3 s, dry and rt60 0.7
+        results = [None, None]
+
+        def score(k):
+            results[k] = q.srmr(pair[k])
+
+        threads = [threading.Thread(target=score, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [srmr_serial(w) for w in pair]
 
 
 @pytest.fixture(scope="module")
