@@ -185,14 +185,19 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
         opt_state = objectives.resume_state(extra)
     else:
         model = netmodel.build_model(config.model, seed=config.train.seed)
-    objectives.check_start(opt_state, config.train, waves)
+    trainable = objectives.check_start(opt_state, config.train, waves)
+    if len(trainable) < len(waves):
+        print(
+            f"training on {len(trainable)} of {len(waves)} utterances; {len(waves) - len(trainable)} are shorter"
+            f" than train.seq_len = {config.train.seq_len} frames"
+        )
 
     # the corpus and the resume state are read and checked first, so a rejected input leaves no directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = objectives.train(
         model,
-        waves,
+        trainable,
         config.train,
         log_path=out / "train_log.csv",
         checkpoint_path=out / "checkpoint.bin",
@@ -227,7 +232,14 @@ def _write_peak_normalized(path, wave: Waveform) -> None:
     corpus_mod.write_wav(path, Waveform(wave.samples / peak) if peak > 1.0 else wave)
 
 
+def _check_out_dir(path) -> None:
+    """Refuse, before any work, an output file whose directory does not exist."""
+    if not Path(path).parent.is_dir():
+        raise CommandError(f"{path}: directory {Path(path).parent} does not exist")
+
+
 def cmd_enhance(checkpoint: str, in_wav: str, out_wav: str, blocks: int | None, probes_dir: str | None) -> int:
+    _check_out_dir(out_wav)
     model, _ = netmodel.load_checkpoint(checkpoint)
     if blocks is not None and not 1 <= blocks <= model.config.blocks:
         raise ConfigError(f"--blocks must be in [1, {model.config.blocks}], got {blocks}")
@@ -298,6 +310,8 @@ def cmd_evaluate(
     manifest: str, enhanced_dir: str, noisy_dir: str | None, report_path: str | None, check_direction: bool
 ) -> int:
     rows_enh: list = []
+    if report_path:
+        _check_out_dir(report_path)
     clean = _read_manifest_audio(manifest)
     enhanced = _score_directory(rows_enh, clean, Path(enhanced_dir))
     report = Path(report_path) if report_path else Path(enhanced_dir) / "report.csv"

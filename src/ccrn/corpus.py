@@ -250,11 +250,14 @@ def read_wav(path) -> Waveform:
             rate = fh.getframerate()
             if rate != SAMPLE_RATE:
                 raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, file is {rate} Hz")
-            data = fh.readframes(fh.getnframes())
+            n_frames = fh.getnframes()
+            data = fh.readframes(n_frames)
     except (wave.Error, EOFError) as err:
         raise ValueError(f"{path}: not a readable PCM WAV file ({err})") from err
     if len(data) % 2:
         raise ValueError(f"{path}: data chunk ends mid-sample ({len(data)} bytes of 16-bit samples)")
+    if len(data) != 2 * n_frames:
+        raise ValueError(f"{path}: data chunk holds {len(data)} bytes, header claims {2 * n_frames}")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples)
 
@@ -266,7 +269,8 @@ def write_wav(path, w: Waveform) -> None:
         warnings.warn(f"{path}: clipped {n_clipped} samples outside +-1", stacklevel=2)
         samples = np.clip(samples, -1.0, 1.0)
     pcm = np.round(samples * PCM_SCALE).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    # a writer given an open file leaves nothing half-built when the open fails
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(SAMPLE_RATE)

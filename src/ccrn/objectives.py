@@ -201,8 +201,8 @@ def sample_example(
 
     Picks an utterance and corruption draw from (seed, index), corrupts the
     whole clean waveform, and cuts the same contiguous ``seq_len``-frame
-    span from the noisy features and the clean log spectrum. Utterances too
-    short for the span are skipped with a deterministic redraw.
+    span from the noisy features and the clean log spectrum. A pick shorter
+    than ``seq_len`` frames is a ``ValueError`` before it is corrupted.
 
     ``targets`` memoizes each utterance's full (read-only) clean log
     spectrum by corpus index, so a caller drawing many examples from one
@@ -217,35 +217,28 @@ def sample_example(
         targets = {}
     if scratch is None:
         scratch = frontend._Scratch()
-    for attempt in range(4 * len(corpus) + 4):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index, attempt)))
-        pick = int(rng.integers(len(corpus)))
-        clean = corpus[pick]
-        rt60 = float(rng.choice(np.asarray(cfg.rt60_choices, dtype=float)))
-        distance_drr = float(rng.choice(np.asarray(cfg.drr_choices, dtype=float)))
-        rir_seed, noise_seed = (int(s) for s in rng.integers(2**31, size=2))
-        spec = corpus_mod.CorruptionSpec(
-            rir=corpus_mod.make_rir_spec(rt60, corpus_mod.room_drr(rt60, distance_drr), rir_seed),
-            snr_db=cfg.snr_db,
-            noise_kind=cfg.noise_kind,
-            seed=noise_seed,
-        )
-        noisy = corpus_mod.corrupt(clean, spec)
-        feats, _ = frontend._features(noisy, scratch)
-        n_frames = feats.frames.shape[0]
-        if n_frames < cfg.seq_len:
-            continue
-        if pick not in targets:
-            targets[pick] = frontend.target_spectrum(clean)
-            targets[pick].frames.flags.writeable = False
-        target = targets[pick]
-        start = int(rng.integers(n_frames - cfg.seq_len + 1))
-        stop = start + cfg.seq_len
-        return (
-            FeatureSequence(feats.frames[start:stop], feats.norm_scale),
-            LogSpectrogram(target.frames[start:stop]),
-        )
-    raise ValueError(f"no utterance long enough for {cfg.seq_len} frames")
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index, 0)))
+    pick = int(rng.integers(len(corpus)))
+    clean = corpus[pick]
+    n_frames = frontend._n_frames(clean.samples.size)
+    if n_frames < cfg.seq_len:
+        raise ValueError(f"utterance {pick} has {n_frames} frames, not long enough for {cfg.seq_len}")
+    rt60 = float(rng.choice(np.asarray(cfg.rt60_choices, dtype=float)))
+    distance_drr = float(rng.choice(np.asarray(cfg.drr_choices, dtype=float)))
+    rir_seed, noise_seed = (int(s) for s in rng.integers(2**31, size=2))
+    spec = corpus_mod.CorruptionSpec(
+        rir=corpus_mod.make_rir_spec(rt60, corpus_mod.room_drr(rt60, distance_drr), rir_seed),
+        snr_db=cfg.snr_db,
+        noise_kind=cfg.noise_kind,
+        seed=noise_seed,
+    )
+    feats, _ = frontend._features(corpus_mod.corrupt(clean, spec), scratch)
+    if pick not in targets:
+        targets[pick] = frontend.target_spectrum(clean)
+        targets[pick].frames.flags.writeable = False
+    start = int(rng.integers(n_frames - cfg.seq_len + 1))
+    span = slice(start, start + cfg.seq_len)
+    return FeatureSequence(feats.frames[span], feats.norm_scale), LogSpectrogram(targets[pick].frames[span])
 
 
 def _batch(
@@ -352,7 +345,8 @@ def train(
 
     Starts at step ``opt_state.t`` (0 without a state). Before it touches a
     file it refuses a state past ``cfg.steps``, and a corpus with no
-    utterance of ``cfg.seq_len`` frames. Writes one CSV row per
+    utterance of ``cfg.seq_len`` frames; it draws only from the utterances
+    that long (``check_start``). Writes one CSV row per
     step to ``log_path``; a resumed run first rewrites the log as the
     header plus its rows below that step, and a damaged row is a
     ``ValueError`` naming ``<log>:<line>``. Refreshes ``checkpoint_path``
@@ -363,7 +357,7 @@ def train(
     """
     params = netmodel.named_parameters(model)
     state = opt_state if opt_state is not None else OptimizerState()
-    check_start(state, cfg, corpus)
+    corpus = check_start(state, cfg, corpus)
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
@@ -456,14 +450,19 @@ def _step_counter(extra: dict[str, np.ndarray], name: str) -> int:
     return int(value)
 
 
-def check_start(state: OptimizerState, cfg: TrainConfig, corpus: Sequence[Waveform]) -> None:
-    """Reject an optimizer state already past ``cfg.steps``, and a corpus with no ``cfg.seq_len``-frame utterance."""
+def check_start(state: OptimizerState, cfg: TrainConfig, corpus: Sequence[Waveform]) -> list[Waveform]:
+    """The utterances of ``corpus`` with at least ``cfg.seq_len`` feature frames, in corpus order.
+
+    Rejects a state past ``cfg.steps``, an empty corpus, and a corpus with no utterance that long.
+    """
     if state.t > cfg.steps:
         raise ValueError(f"optimizer state is at step {state.t}, past the configured {cfg.steps} steps")
     if not corpus:
         raise ValueError("empty corpus")
-    if max(frontend._n_frames(w.samples.size) for w in corpus) < cfg.seq_len:
+    trainable = [w for w in corpus if frontend._n_frames(w.samples.size) >= cfg.seq_len]
+    if not trainable:
         raise ValueError(f"no utterance long enough for {cfg.seq_len} frames")
+    return trainable
 
 
 def resume_state(extra: dict[str, np.ndarray]) -> OptimizerState:

@@ -452,6 +452,24 @@ class TestTrain:
             assert (run / name).read_bytes() == (trained_run / "run" / name).read_bytes()
         assert not (tmp_path / "new").exists()
 
+    def test_short_utterances_skipped_changing_no_bit(self, trained_run, synth_dir, tmp_path, capsys):
+        # synth_dir's 1.3 s utterances have 123 frames, these 0.5 s ones 43; train.seq_len is 60
+        longs = [(f"utt{i:03d}", str(synth_dir / "clean" / f"utt{i:03d}.wav"), 1.3) for i in range(3)]
+        shorts = []
+        for i in range(2):
+            cp.write_wav(tmp_path / f"short{i}.wav", cp.synth_speech(0.5, seed=30 + i))
+            shorts.append((f"short{i}", f"short{i}.wav", 0.5))
+        cp.write_manifest(tmp_path / "long.csv", longs)
+        cp.write_manifest(tmp_path / "mixed.csv", [shorts[0], longs[0], longs[1], shorts[1], longs[2]])
+        cfg = str(trained_run / "train.cfg")
+        assert main(["train", "--config", cfg, "--corpus", str(tmp_path / "long.csv"), "--out", str(tmp_path / "a")]) == 0
+        assert "training on" not in capsys.readouterr().out
+        assert main(["train", "--config", cfg, "--corpus", str(tmp_path / "mixed.csv"), "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "training on 3 of 5 utterances; 2 are shorter than train.seq_len = 60 frames"
+        for name in ("checkpoint.bin", "train_log.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_disagreeing_step_counters_exit_1(self, trained_run, tmp_path, capsys):
         model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")
         extra["train.step"] = np.array([2.0], dtype=np.float32)
@@ -590,6 +608,35 @@ class TestEnhance:
         assert err.startswith(f"error: {path}: ") and "divide 512" in err
         assert not (tmp_path / "x.wav").exists()
 
+    def test_output_in_a_missing_directory_exits_2_before_any_work(self, trained_run, synth_dir, tmp_path):
+        out_wav = tmp_path / "nodir" / "x.wav"
+        argv = [
+            "enhance", "--checkpoint", str(trained_run / "run" / "checkpoint.bin"),
+            "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"), "--out", str(out_wav),
+        ]
+        # a subprocess, so that an exception raised while a half-built writer is collected reaches stderr
+        src = str(Path(ccrn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "ccrn.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {out_wav}: directory {out_wav.parent} does not exist\n"
+        assert not out_wav.parent.exists()
+
+    def test_output_directory_checked_before_the_checkpoint_is_read(self, trained_run, synth_dir, tmp_path,
+                                                                     capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(nm, "load_checkpoint", lambda *a: loads.append(a))
+        assert main([
+            "enhance", "--checkpoint", str(trained_run / "run" / "checkpoint.bin"),
+            "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"),
+            "--out", str(tmp_path / "nodir" / "x.wav"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert loads == []
+
     def test_bad_blocks_rejected(self, trained_run, synth_dir, tmp_path):
         assert main([
             "enhance", "--checkpoint", str(trained_run / "run" / "checkpoint.bin"),
@@ -640,6 +687,17 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("utt") == 3  # every missing file named
+
+    def test_report_in_a_missing_directory_exits_2_before_scoring(self, synth_dir, tmp_path, capsys, monkeypatch):
+        scored = []
+        monkeypatch.setattr(cli.quality, "quality_report", lambda *a: scored.append(a))
+        report = tmp_path / "nodir" / "r.csv"
+        assert main([
+            "evaluate", "--manifest", str(synth_dir / "manifest.csv"),
+            "--enhanced-dir", str(synth_dir / "noisy"), "--report", str(report),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {report}: directory {report.parent} does not exist\n"
+        assert scored == []
 
     def test_failed_direction_exits_nonzero(self, synth_dir, tmp_path):
         # "enhanced" dir holds the corrupted files themselves: no improvement

@@ -174,6 +174,28 @@ class TestWavIO:
         with pytest.raises(ValueError, match=f"^{path}: data chunk ends mid-sample"):
             cp.read_wav(path)
 
+    def test_data_chunk_shorter_than_its_header_names_the_file(self, tmp_path):
+        import struct
+
+        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16)
+        body = b"WAVE" + fmt + struct.pack("<4sI", b"data", 6) + b"\1\0\2\0"  # claims 6 bytes, holds 4
+        path = tmp_path / "short.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(ValueError, match=f"^{path}: data chunk holds 4 bytes, header claims 6$"):
+            cp.read_wav(path)
+
+    def test_write_into_a_missing_directory_leaves_no_half_built_writer(self, tmp_path, monkeypatch):
+        import gc
+        import sys
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(FileNotFoundError):
+            cp.write_wav(tmp_path / "nodir" / "x.wav", Waveform(np.zeros(10)))
+        gc.collect()
+        assert unraisable == []
+        assert not (tmp_path / "nodir").exists()
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

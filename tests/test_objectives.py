@@ -197,6 +197,13 @@ def small_corpus():
     return [cp.synth_speech(1.5, seed=60 + i) for i in range(3)]
 
 
+@pytest.fixture(scope="module")
+def mixed_corpus(small_corpus):
+    """``small_corpus`` (143 frames each) interleaved with 0.5 s utterances (43 frames)."""
+    shorts = [cp.synth_speech(0.5, seed=90 + i) for i in range(4)]
+    return [shorts[0], small_corpus[0], shorts[1], small_corpus[1], shorts[2], small_corpus[2], shorts[3]]
+
+
 def small_train_config(**kw):
     base = dict(steps=3, seq_len=60, batch_size=2, lr=1e-3, seed=13, checkpoint_interval=0)
     base.update(kw)
@@ -229,10 +236,16 @@ class TestSampling:
         restored = feats.frames[:, :512] * feats.norm_scale[:512]
         assert np.max(np.abs(restored - target.frames)) < 1e-6
 
-    def test_too_short_resampled(self, small_corpus):
-        cfg = small_train_config(seq_len=120)  # only ~1.5 s utterances: still fits
-        feats, _ = obj.sample_example(small_corpus, cfg, 0)
-        assert feats.frames.shape[0] == 120
+    def test_too_short_utterances_never_drawn(self, small_corpus, mixed_corpus, monkeypatch):
+        cfg = small_train_config()
+        trainable = obj.check_start(obj.OptimizerState(), cfg, mixed_corpus)
+        assert [id(w) for w in trainable] == [id(w) for w in small_corpus]
+        # given a short utterance anyway, the draw fails before it corrupts anything
+        corrupted = []
+        monkeypatch.setattr(cp, "corrupt", lambda *a: corrupted.append(a))
+        with pytest.raises(ValueError, match="utterance 0 has 43 frames, not long enough for 60"):
+            obj.sample_example(mixed_corpus[:1], cfg, 0)
+        assert corrupted == []
 
     def test_impossible_length_rejected(self, small_corpus):
         cfg = small_train_config(seq_len=400)
@@ -246,7 +259,9 @@ class TestSampling:
     def test_check_start_takes_the_longest_utterance(self, small_corpus):
         corpus = small_corpus + [cp.synth_speech(0.05, seed=69)]  # shorter than one 75 ms window
         longest = max(fe.assemble_features(w)[0].frames.shape[0] for w in small_corpus)
-        obj.check_start(obj.OptimizerState(), small_train_config(seq_len=longest), corpus)
+        trainable = obj.check_start(obj.OptimizerState(), small_train_config(seq_len=longest), corpus)
+        # the same objects, in corpus order, without the one too short
+        assert [id(w) for w in trainable] == [id(w) for w in small_corpus]
         with pytest.raises(ValueError, match=f"no utterance long enough for {longest + 1} frames"):
             obj.check_start(obj.OptimizerState(), small_train_config(seq_len=longest + 1), corpus)
         with pytest.raises(ValueError, match="empty corpus"):
@@ -316,6 +331,11 @@ class TestTrain:
             obj.train(model, small_corpus, small_train_config(), checkpoint_path=path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_short_utterances_change_no_bit(self, small_corpus, mixed_corpus, tmp_path):
+        (tmp_path / "long").mkdir()
+        (tmp_path / "mixed").mkdir()
+        assert train_outputs(mixed_corpus, tmp_path / "mixed") == train_outputs(small_corpus, tmp_path / "long")
 
     def test_resume_reproduces_trajectory(self, small_corpus, tmp_path):
         config = nm.ModelConfig(blocks=2, channels=64)
