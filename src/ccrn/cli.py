@@ -182,7 +182,7 @@ def cmd_train(config: RunConfig, out_dir: str, manifest_path: str | None, resume
         model, extra = netmodel.load_checkpoint(resume)
         if model.config != config.model:
             raise ConfigError(f"checkpoint model {model.config} does not match configured {config.model}")
-        opt_state = objectives.resume_state(extra)
+        opt_state = objectives.resume_state(extra, model)
     else:
         model = netmodel.build_model(config.model, seed=config.train.seed)
     trainable = objectives.check_start(opt_state, config.train, waves)
@@ -260,70 +260,61 @@ def cmd_enhance(checkpoint: str, in_wav: str, out_wav: str, blocks: int | None, 
     return 0
 
 
-def _condition_dirs(root: Path) -> list[Path]:
+def _condition_files(root: Path, ids) -> dict[str, dict[str, Path]]:
+    """Condition name -> utterance id -> WAV path, for every id in ``ids``.
+
+    The conditions are the subdirectories of ``root`` in name order, or
+    ``root`` itself, named ".", when it has none. Rejects a ``root`` that
+    is not a directory, and lists every missing file.
+    """
     if not root.is_dir():
         raise ConfigError(f"not a directory: {root}")
-    dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    return dirs if dirs else [root]
-
-
-def _score_directory(rows, clean: dict[str, Waveform], test_root: Path) -> dict[str, list[quality.QualityReport]]:
-    conditions = _condition_dirs(test_root)
-    missing = []
-    for cond in conditions:
-        for utt_id in clean:
-            if not (cond / f"{utt_id}.wav").is_file():
-                missing.append(str(cond / f"{utt_id}.wav"))
+    dirs = {p.name: p for p in sorted(root.iterdir()) if p.is_dir()} or {".": root}
+    files = {name: {utt_id: d / f"{utt_id}.wav" for utt_id in ids} for name, d in dirs.items()}
+    missing = [str(path) for paths in files.values() for path in paths.values() if not path.is_file()]
     if missing:
         raise CommandError("missing files:\n  " + "\n  ".join(missing))
-
-    per_condition: dict[str, list[quality.QualityReport]] = {}
-    for cond in conditions:
-        name = cond.name if cond != test_root else "."
-        reports = []
-        for utt_id, ref in clean.items():
-            report = quality.quality_report(ref, corpus_mod.read_wav(cond / f"{utt_id}.wav"))
-            reports.append(report)
-            rows.append([utt_id, name, f"{report.llr:.6f}", f"{report.srmr:.6f}", report.n_active_frames])
-        per_condition[name] = reports
-    return per_condition
+    return files
 
 
-def _write_report(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _score(
+    tag: str, clean: dict[str, Waveform], files: dict[str, dict[str, Path]], report: Path
+) -> dict[str, tuple[float, float]]:
+    """Score each file against its clean reference, write ``report``, print and return per-condition means."""
+    rows, means = [], {}
+    for name, paths in files.items():
+        scores = [quality.quality_report(clean[utt_id], corpus_mod.read_wav(path)) for utt_id, path in paths.items()]
+        rows += [[utt_id, name, f"{s.llr:.6f}", f"{s.srmr:.6f}", s.n_active_frames] for utt_id, s in zip(paths, scores)]
+        means[name] = (float(np.mean([s.llr for s in scores])), float(np.mean([s.srmr for s in scores])))
+    with open(report, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "condition", "llr", "srmr", "n_active_frames"])
         writer.writerows(rows)
-
-
-def _summarize(tag: str, per_condition) -> dict[str, tuple[float, float]]:
-    means = {}
-    for name, reports in sorted(per_condition.items()):
-        mean_llr = float(np.mean([r.llr for r in reports]))
-        mean_srmr = float(np.mean([r.srmr for r in reports]))
-        means[name] = (mean_llr, mean_srmr)
-        print(f"{tag} {name}: n={len(reports)} mean_llr={mean_llr:.4f} mean_srmr={mean_srmr:.4f}")
+    for name, (mean_llr, mean_srmr) in means.items():
+        print(f"{tag} {name}: n={len(clean)} mean_llr={mean_llr:.4f} mean_srmr={mean_srmr:.4f}")
     return means
 
 
 def cmd_evaluate(
     manifest: str, enhanced_dir: str, noisy_dir: str | None, report_path: str | None, check_direction: bool
 ) -> int:
-    rows_enh: list = []
+    if check_direction and noisy_dir is None:
+        raise ConfigError("--check-direction needs --noisy-dir")
     if report_path:
         _check_out_dir(report_path)
+    # both directories are listed and checked before anything is scored or written
     clean = _read_manifest_audio(manifest)
-    enhanced = _score_directory(rows_enh, clean, Path(enhanced_dir))
-    report = Path(report_path) if report_path else Path(enhanced_dir) / "report.csv"
-    _write_report(report, rows_enh)
-    enh_means = _summarize("enhanced", enhanced)
+    enhanced = _condition_files(Path(enhanced_dir), clean)
+    noisy = None if noisy_dir is None else _condition_files(Path(noisy_dir), clean)
+    absent = [name for name in enhanced if name not in noisy] if check_direction else []
+    if absent:
+        raise ConfigError(f"--check-direction: {noisy_dir} has no condition {', '.join(absent)}")
 
-    if noisy_dir is None:
+    report = Path(report_path) if report_path else Path(enhanced_dir) / "report.csv"
+    enh_means = _score("enhanced", clean, enhanced, report)
+    if noisy is None:
         return 0
-    rows_noisy: list = []
-    unprocessed = _score_directory(rows_noisy, clean, Path(noisy_dir))
-    _write_report(report.with_name(report.stem + "_unprocessed.csv"), rows_noisy)
-    raw_means = _summarize("unprocessed", unprocessed)
+    raw_means = _score("unprocessed", clean, noisy, report.with_name(report.stem + "_unprocessed.csv"))
 
     if not check_direction:
         return 0

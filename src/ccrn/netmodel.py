@@ -270,10 +270,11 @@ def truncate(model: ModelParams, depth: int) -> ModelParams:
 
 
 def select_depth(per_block_costs: Sequence[float]) -> int:
-    """Smallest usable depth given validation costs per block.
+    """Smallest usable depth given a cost per block.
 
     Returns the last (1-based) block whose relative cost improvement over
     its predecessor is at least ``DEPTH_GAIN`` (1 %); 1 if no block clears it.
+    ``ccrn train`` passes the per-block costs of its last training step.
     """
     costs = list(per_block_costs)
     if not costs:

@@ -465,11 +465,13 @@ def check_start(state: OptimizerState, cfg: TrainConfig, corpus: Sequence[Wavefo
     return trainable
 
 
-def resume_state(extra: dict[str, np.ndarray]) -> OptimizerState:
+def resume_state(extra: dict[str, np.ndarray], model: ModelParams) -> OptimizerState:
     """Optimizer state from checkpoint extras; its ``t`` is the next step index.
 
-    Both stored counters must be valid and equal. The moment arrays are
-    taken over as they are, not copied.
+    Both stored counters must be valid and equal. Past step 0 every
+    parameter of ``model`` needs both moments, each of the parameter's
+    shape, and no moment may be left without a parameter. The moment
+    arrays are taken over as they are, not copied.
     """
     if "opt.t" not in extra or "train.step" not in extra:
         raise ValueError("checkpoint carries no optimizer state; it cannot be resumed")
@@ -482,4 +484,14 @@ def resume_state(extra: dict[str, np.ndarray]) -> OptimizerState:
             state.m[name[len("opt.m."):]] = arr
         elif name.startswith("opt.v."):
             state.v[name[len("opt.v."):]] = arr
+    shapes = {name: node.value.shape for name, node in netmodel.named_parameters(model)}
+    for prefix, moments in (("opt.m.", state.m), ("opt.v.", state.v)):
+        for name, arr in moments.items():
+            if name not in shapes:
+                raise ValueError(f"checkpoint {prefix}{name} belongs to no model parameter")
+            if arr.shape != shapes[name]:
+                raise ValueError(f"checkpoint {prefix}{name} has shape {arr.shape}, expected {shapes[name]}")
+        missing = [name for name in shapes if name not in moments]
+        if t and missing:
+            raise ValueError(f"checkpoint at step {t} is missing {prefix}{missing[0]}")
     return state

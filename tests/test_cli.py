@@ -484,6 +484,29 @@ class TestTrain:
         assert err == "error: checkpoint opt.t is 4 but train.step is 2; they must agree\n"
         assert not (tmp_path / "resumed" / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("damage", ["dropped moments", "short moment", "stray moment"])
+    def test_mismatched_optimizer_moments_exit_1_before_any_output(self, trained_run, tmp_path, capsys, damage):
+        model, extra = nm.load_checkpoint(trained_run / "run" / "checkpoint.bin")  # 2 x 128, at step 4
+        if damage == "dropped moments":
+            del extra["opt.m.first.weight"], extra["opt.v.first.weight"]
+        elif damage == "short moment":
+            extra["opt.m.first.bias"] = np.zeros(3, dtype=np.float32)
+        else:
+            extra["opt.v.block03.slope"] = np.zeros(1, dtype=np.float32)
+        message = {
+            "dropped moments": "checkpoint at step 4 is missing opt.m.first.weight",
+            "short moment": "checkpoint opt.m.first.bias has shape (3,), expected (128,)",
+            "stray moment": "checkpoint opt.v.block03.slope belongs to no model parameter",
+        }[damage]
+        damaged = tmp_path / "damaged.bin"
+        nm.save_checkpoint(damaged, model, extra)
+        cfg = tmp_path / "six.cfg"
+        cfg.write_text((trained_run / "train.cfg").read_text() + "train.steps = 6\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "resumed"), "--resume", str(damaged)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "resumed").exists()
+
     @pytest.mark.parametrize("failure, code", [
         ("missing manifest", 2), ("bad manifest row", 1), ("rejected checkpoint", 1), ("resume past the steps", 1),
     ])
@@ -698,6 +721,33 @@ class TestEvaluate:
         ]) == 2
         assert capsys.readouterr().err == f"error: {report}: directory {report.parent} does not exist\n"
         assert scored == []
+
+    @pytest.mark.parametrize("case", ["missing noisy dir", "noisy dir lacks a condition", "check direction alone"])
+    def test_bad_noisy_dir_exits_1_before_scoring(self, synth_dir, tmp_path, capsys, monkeypatch, case):
+        scored = []
+        quality_report = cli.quality.quality_report
+        monkeypatch.setattr(cli.quality, "quality_report", lambda *a: scored.append(a) or quality_report(*a))
+        noisy = tmp_path / "noisy"
+        argv = [
+            "evaluate", "--manifest", str(synth_dir / "manifest.csv"), "--enhanced-dir", str(synth_dir / "noisy"),
+            "--report", str(tmp_path / "report.csv"),
+        ]
+        argv += {
+            "missing noisy dir": ["--noisy-dir", str(noisy)],
+            "noisy dir lacks a condition": ["--noisy-dir", str(noisy), "--check-direction"],
+            "check direction alone": ["--check-direction"],
+        }[case]
+        message = {
+            "missing noisy dir": f"not a directory: {noisy}",
+            "noisy dir lacks a condition": f"--check-direction: {noisy} has no condition rt60_0.50",
+            "check direction alone": "--check-direction needs --noisy-dir",
+        }[case]
+        if case == "noisy dir lacks a condition":
+            shutil.copytree(synth_dir / "noisy" / "rt60_0.25", noisy / "rt60_0.25")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert scored == []
+        assert not list(tmp_path.glob("report*.csv"))
 
     def test_failed_direction_exits_nonzero(self, synth_dir, tmp_path):
         # "enhanced" dir holds the corrupted files themselves: no improvement

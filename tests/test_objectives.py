@@ -350,7 +350,7 @@ class TestTrain:
         half = nm.build_model(config, seed=5)
         obj.train(half, small_corpus, half_cfg, checkpoint_path=tmp_path / "half.bin")
         resumed, extra = nm.load_checkpoint(tmp_path / "half.bin")
-        state = obj.resume_state(extra)
+        state = obj.resume_state(extra, resumed)
         assert state.t == 3
         # resuming onto the straight run's log drops its rows from step 3 on
         obj.train(resumed, small_corpus, full_cfg, opt_state=state,
@@ -412,14 +412,18 @@ class TestTrain:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, fresh))
 
     def test_step_counters_validated_on_resume(self):
-        moments = {"opt.m.w": np.ones(2, dtype=np.float32), "opt.v.w": np.ones(2, dtype=np.float32)}
+        model = nm.build_model(nm.ModelConfig(blocks=1, channels=4, input_dim=6), seed=1)
+        moments = {f"opt.{k}.{name}": np.ones_like(node.value) for name, node in nm.named_parameters(model) for k in "mv"}
 
         def extra(t, step):
             return {**moments, "opt.t": np.array(t, dtype=np.float32), "train.step": np.array(step, dtype=np.float32)}
 
-        state = obj.resume_state(extra([2.0**24], [2.0**24]))
+        state = obj.resume_state(extra([2.0**24], [2.0**24]), model)
         assert state.t == 2**24
-        assert state.m["w"] is moments["opt.m.w"] and state.v["w"] is moments["opt.v.w"]
+        assert state.m["first.bias"] is moments["opt.m.first.bias"] and state.v["first.bias"] is moments["opt.v.first.bias"]
+        # a run saved at step 0 (train.steps = 0) has taken no step, so it carries no moments
+        fresh = obj.resume_state({"opt.t": np.zeros(1, np.float32), "train.step": np.zeros(1, np.float32)}, model)
+        assert fresh.t == 0 and fresh.m == fresh.v == {}
         bad = [
             ([2.0**24 + 2], [1.0], "opt.t"),
             ([1.0, 2.0], [1.0], "opt.t"),
@@ -429,7 +433,7 @@ class TestTrain:
         ]
         for t, step, name in bad:
             with pytest.raises(ValueError, match=name):
-                obj.resume_state(extra(t, step))
+                obj.resume_state(extra(t, step), model)
 
     @pytest.mark.parametrize("name, value", [
         ("alpha", np.nan), ("alpha", np.inf), ("lr", np.nan), ("lr", np.inf),
