@@ -2,7 +2,8 @@
 
 Configuration is flat ``key = value`` text (``#`` comments allowed) with a
 fixed key list; unknown keys are rejected before any side effect. Exit
-codes: 0 success, 1 validation error, 2 runtime failure.
+codes, by exception base class: 0 success, 1 validation error
+(``ValueError``), 2 runtime failure (``RuntimeError``, ``OSError``) or Ctrl-C.
 """
 
 from __future__ import annotations
@@ -240,17 +241,20 @@ def _check_out_dir(path) -> None:
 
 def cmd_enhance(checkpoint: str, in_wav: str, out_wav: str, blocks: int | None, probes_dir: str | None) -> int:
     _check_out_dir(out_wav)
+    pdir = None if probes_dir is None else Path(probes_dir)
+    if pdir is not None and pdir.exists() and not pdir.is_dir():
+        raise CommandError(f"{pdir}: --probes names a file, not a directory")
     model, _ = netmodel.load_checkpoint(checkpoint)
     if blocks is not None and not 1 <= blocks <= model.config.blocks:
         raise ConfigError(f"--blocks must be in [1, {model.config.blocks}], got {blocks}")
     noisy = corpus_mod.read_wav(in_wav)
 
-    enhanced, probes, phase = enhance_waveform(model, noisy, blocks, probes_dir is not None)
+    enhanced, probes, phase = enhance_waveform(model, noisy, blocks, pdir is not None)
+    if pdir is not None:
+        pdir.mkdir(parents=True, exist_ok=True)  # a failure here leaves --out unwritten
     _write_peak_normalized(out_wav, enhanced)
 
     if probes is not None:
-        pdir = Path(probes_dir)
-        pdir.mkdir(parents=True, exist_ok=True)
         for l, spectrum in enumerate(probes, start=1):
             np.savetxt(pdir / f"block_{l:02d}.csv", spectrum.frames, delimiter=",")
             _write_peak_normalized(
@@ -366,12 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a clean/corrupted evaluation corpus")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_synth(load_config(a.config), a.out))
 
     p = sub.add_parser("train", help="train a model on on-the-fly corrupted examples")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", default=None, help="manifest of clean WAVs (default: synthesized)")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
+    p.set_defaults(run=lambda a: cmd_train(load_config(a.config), a.out, a.corpus, a.resume))
 
     p = sub.add_parser("enhance", help="enhance one WAV file")
     p.add_argument("--checkpoint", required=True)
@@ -379,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_wav", required=True)
     p.add_argument("--blocks", type=int, default=None, help="evaluate only the first N blocks")
     p.add_argument("--probes", default=None, help="directory for per-block CSV + WAV exports")
+    p.set_defaults(run=lambda a: cmd_enhance(a.checkpoint, a.in_wav, a.out_wav, a.blocks, a.probes))
 
     p = sub.add_parser("evaluate", help="score enhanced (and optionally unprocessed) audio")
     p.add_argument("--manifest", required=True)
@@ -386,34 +393,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noisy-dir", default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--check-direction", action="store_true")
+    p.set_defaults(run=lambda a: cmd_evaluate(a.manifest, a.enhanced_dir, a.noisy_dir, a.report, a.check_direction))
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--step", type=float, default=1e-5)
+    p.set_defaults(run=lambda a: cmd_gradcheck(a.step))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "synth":
-            return cmd_synth(load_config(args.config), args.out)
-        if args.command == "train":
-            return cmd_train(load_config(args.config), args.out, args.corpus, args.resume)
-        if args.command == "enhance":
-            return cmd_enhance(args.checkpoint, args.in_wav, args.out_wav, args.blocks, args.probes)
-        if args.command == "evaluate":
-            return cmd_evaluate(
-                args.manifest, args.enhanced_dir, args.noisy_dir, args.report, args.check_direction
-            )
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args.step)
-        raise CommandError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (CommandError, RuntimeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return args.run(args)
+    except ValueError as err:
+        message, code = str(err), 1
+    except (RuntimeError, OSError) as err:
+        message, code = str(err), 2
+    except KeyboardInterrupt:
+        message, code = "interrupted", 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

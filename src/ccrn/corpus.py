@@ -252,8 +252,9 @@ def read_wav(path) -> Waveform:
                 raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, file is {rate} Hz")
             n_frames = fh.getnframes()
             data = fh.readframes(n_frames)
-    except (wave.Error, EOFError) as err:
-        raise ValueError(f"{path}: not a readable PCM WAV file ({err})") from err
+    except (wave.Error, EOFError, RuntimeError) as err:
+        # wave raises a bare RuntimeError for a chunk size that runs past its RIFF chunk
+        raise ValueError(f"{path}: not a readable PCM WAV file ({str(err) or 'chunk size out of range'})") from err
     if len(data) % 2:
         raise ValueError(f"{path}: data chunk ends mid-sample ({len(data)} bytes of 16-bit samples)")
     if len(data) != 2 * n_frames:

@@ -17,6 +17,7 @@ import scipy.fft
 
 SAMPLE_RATE = 16000
 HOP_MS = 10.0
+FRAME_MS = 25.0  # the one short window: log FFT, target, resynthesis, LLR and VAD frames
 FFT_BINS = 512
 FEATURE_DIM = 876
 MAG_FLOOR = 1e-10
@@ -26,7 +27,7 @@ CONSTANT_RTOL = 1e-10
 
 # (mel band count, window ms) per analysis stream; resolution grows with
 # the window, and the 25 ms stream also feeds the 512-point log FFT.
-MEL_STREAMS = ((32, 25.0), (50, 50.0), (100, 75.0))
+MEL_STREAMS = ((32, FRAME_MS), (50, 50.0), (100, 75.0))
 
 
 @dataclass
@@ -249,7 +250,7 @@ def _features(
     for n_mels, win_ms in MEL_STREAMS:
         spectrum = _analysis(w, win_ms, scratch, n_frames)
         power = scratch.view("power", spectrum.shape)
-        if win_ms == 25.0:
+        if win_ms == FRAME_MS:
             # the 25 ms magnitudes give the log FFT, then are squared into the power
             if with_phase:
                 phase = _phase(spectrum)
@@ -289,7 +290,7 @@ def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
 
 def target_spectrum(w: Waveform) -> LogSpectrogram:
     """Raw (un-normalized) 512-dim log spectrum, the regression target."""
-    return LogSpectrogram(_log_magnitude(np.abs(_analysis(w, 25.0, _Scratch())), FFT_BINS))
+    return LogSpectrogram(_log_magnitude(np.abs(_analysis(w, FRAME_MS, _Scratch())), FFT_BINS))
 
 
 def fold_spectrum(frames: np.ndarray, n_bands: int) -> np.ndarray:
@@ -344,7 +345,7 @@ def reconstruct(enh: LogSpectrogram, phase: PhaseSpectrogram, length: int) -> Wa
     mirror = (FFT_BINS - np.arange(half)) % FFT_BINS
     folded = 0.5 * (mags[:, :half] + mags[:, mirror])
 
-    win = _window_samples(25.0)
+    win = _window_samples(FRAME_MS)
     hop = _window_samples(HOP_MS)
     frames_t = np.fft.irfft(folded * np.exp(1j * phase.frames), n=FFT_BINS, axis=1)
 

@@ -12,6 +12,7 @@ binary checkpoint format (magic ``CCRN01``).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -234,9 +235,9 @@ def forward(
 
     Inference only: the pass builds no graph (``diffcore.no_grad``), batch
     normalization uses the running statistics, and the model is left
-    unchanged; train through ``forward_nodes``. Reduced-width models work
-    in a folded spectral domain internally; outputs and probes are always
-    expanded back to the full 512 bins.
+    unchanged; train through ``forward_nodes``. Outputs and probes are
+    unfolded to the full 512 bins (``unfold_spectrum``, which is the identity
+    for a full-width model).
     """
     dtype = model.first_layer.weight.value.dtype
     x = Node(np.asarray(feats.frames, dtype=dtype))
@@ -244,10 +245,7 @@ def forward(
         out, probes = forward_nodes(model, x, want_probes)
 
     def to_spectrogram(node: Node) -> LogSpectrogram:
-        frames = node.value
-        if frames.shape[1] != FFT_BINS:
-            frames = unfold_spectrum(frames)
-        return LogSpectrogram(frames.astype(np.float64))
+        return LogSpectrogram(unfold_spectrum(node.value).astype(np.float64))
 
     trace = ProbeTrace([to_spectrogram(p) for p in probes]) if want_probes else None
     return to_spectrogram(out), trace
@@ -323,6 +321,8 @@ def named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 _ARRAY_ALIGN = 64
 _KIND_CODES = {KIND_CCRN: 0, KIND_CCRN_STATE: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# magic, kind code, (blocks, channels, state_step, kernel, input_dim), array count
+_HEADER = struct.Struct("<6sB5II")
 
 
 def _write_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
@@ -364,6 +364,10 @@ def _read_array(fh: BinaryIO, file_size: int, pool: np.ndarray, offset: int) -> 
 def save_checkpoint(path, model: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
     """Serialize a model (and optional extra arrays) to the CCRN01 format.
 
+    The file is replaced whole: the bytes go to ``<path>.tmp`` in the same
+    directory, are synced to disk, and the temp file is renamed over
+    ``path``, so an interrupted save leaves the previous file as it was.
+
     Layout: magic ``CCRN01``; kind byte (0 plain, 1 state); five u32 LE
     (blocks, channels, state_step, kernel, input_dim); u32 LE array count;
     then per array: u16 LE name length, UTF-8 name, u8 rank, rank u32 LE
@@ -372,13 +376,20 @@ def save_checkpoint(path, model: ModelParams, extra: dict[str, np.ndarray] | Non
     cfg = model.config
     entries = named_arrays(model)
     entries.extend(sorted((extra or {}).items()))
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", _KIND_CODES[cfg.kind]))
-        fh.write(struct.pack("<5I", cfg.blocks, cfg.channels, cfg.state_step, cfg.kernel, cfg.input_dim))
-        fh.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
-            _write_array(fh, name, arr)
+    dims = (cfg.blocks, cfg.channels, cfg.state_step, cfg.kernel, cfg.input_dim)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, _KIND_CODES[cfg.kind], *dims, len(entries)))
+            for name, arr in entries:
+                _write_array(fh, name, arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:  # Ctrl-C included: the old file stays and no temp file is left
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
@@ -395,15 +406,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
     """
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"not a CCRN01 checkpoint (magic {magic!r})")
-            (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
+            header = fh.read(_HEADER.size)
+            if not header.startswith(CHECKPOINT_MAGIC):
+                raise ValueError(f"not a CCRN01 checkpoint (magic {header[:len(CHECKPOINT_MAGIC)]!r})")
+            if len(header) != _HEADER.size:
+                raise ValueError("checkpoint is truncated")
+            _, kind_code, *dims, count = _HEADER.unpack(header)
             if kind_code not in _KIND_NAMES:
                 raise ValueError(f"unknown model kind code {kind_code}")
-            blocks, channels, state_step, kernel, input_dim = struct.unpack("<5I", _read_exact(fh, 20))
-            config = ModelConfig(_KIND_NAMES[kind_code], blocks, channels, state_step, kernel, input_dim)
-            (count,) = struct.unpack("<I", _read_exact(fh, 4))
+            config = ModelConfig(_KIND_NAMES[kind_code], *dims)
             file_size = os.fstat(fh.fileno()).st_size
             # a record takes at least 3 bytes, so a corrupt count cannot size a huge pool
             if count > (file_size - fh.tell()) // 3:

@@ -255,7 +255,7 @@ def _batch(
     for j in range(cfg.batch_size):
         f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets, scratch=scratch)
         feats[j] = f.frames
-        targets[j] = y.frames if n_bands == y.frames.shape[1] else frontend.fold_spectrum(y.frames, n_bands)
+        targets[j] = frontend.fold_spectrum(y.frames, n_bands)
     return feats, targets
 
 
@@ -479,18 +479,15 @@ def resume_state(extra: dict[str, np.ndarray], model: ModelParams) -> OptimizerS
     if t != step:
         raise ValueError(f"checkpoint opt.t is {t} but train.step is {step}; they must agree")
     state = OptimizerState(t=t)
-    for name, arr in extra.items():
-        if name.startswith("opt.m."):
-            state.m[name[len("opt.m."):]] = arr
-        elif name.startswith("opt.v."):
-            state.v[name[len("opt.v."):]] = arr
     shapes = {name: node.value.shape for name, node in netmodel.named_parameters(model)}
     for prefix, moments in (("opt.m.", state.m), ("opt.v.", state.v)):
-        for name, arr in moments.items():
+        for key, arr in ((k, a) for k, a in extra.items() if k.startswith(prefix)):
+            name = key.removeprefix(prefix)
             if name not in shapes:
-                raise ValueError(f"checkpoint {prefix}{name} belongs to no model parameter")
+                raise ValueError(f"checkpoint {key} belongs to no model parameter")
             if arr.shape != shapes[name]:
-                raise ValueError(f"checkpoint {prefix}{name} has shape {arr.shape}, expected {shapes[name]}")
+                raise ValueError(f"checkpoint {key} has shape {arr.shape}, expected {shapes[name]}")
+            moments[name] = arr
         missing = [name for name in shapes if name not in moments]
         if t and missing:
             raise ValueError(f"checkpoint at step {t} is missing {prefix}{missing[0]}")

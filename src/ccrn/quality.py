@@ -25,10 +25,9 @@ import numpy as np
 import scipy.fft
 import scipy.signal
 
-from .frontend import HOP_MS, SAMPLE_RATE, Waveform, _window_samples, frame_signal, frame_view
+from .frontend import FRAME_MS, HOP_MS, SAMPLE_RATE, Waveform, _window_samples, frame_signal, frame_view
 
 LPC_ORDER = 16
-_FRAME_MS = 25.0  # LLR and VAD window
 LLR_CAP = 2.0
 VAD_THRESHOLD_DB = 35.0
 
@@ -55,10 +54,10 @@ class LpcError(ValueError):
 def vad_mask(w: Waveform) -> np.ndarray:
     """Boolean activity of each 25 ms frame (10 ms hop): energy within 35 dB of the peak frame.
 
-    It frames as ``frame_signal(w, _FRAME_MS)`` does, without the window, so ``llr`` can index
+    It frames as ``frame_signal(w, FRAME_MS)`` does, without the window, so ``llr`` can index
     those rows with this mask.
     """
-    frames = frame_view(w.samples, _window_samples(_FRAME_MS), _window_samples(HOP_MS))
+    frames = frame_view(w.samples, _window_samples(FRAME_MS), _window_samples(HOP_MS))
     energy = np.sum(frames * frames, axis=1)
     peak = float(energy.max())
     if peak <= 0.0:
@@ -115,7 +114,7 @@ def llr(reference: Waveform, test: Waveform) -> float:
     tst = Waveform(np.pad(test.samples[:n], (0, max(0, n - test.samples.size))))
 
     # reference rows, then test rows: one stack, so equal frames get bit-equal models
-    frames = np.concatenate([frame_signal(reference, _FRAME_MS)[active], frame_signal(tst, _FRAME_MS)[active]])
+    frames = np.concatenate([frame_signal(reference, FRAME_MS)[active], frame_signal(tst, FRAME_MS)[active]])
     coeffs, autocorr, depth = _levinson(frames, LPC_ORDER)
     m = len(frames) // 2
     lags = np.abs(np.subtract.outer(np.arange(LPC_ORDER + 1), np.arange(LPC_ORDER + 1)))

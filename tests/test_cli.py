@@ -7,8 +7,10 @@ import inspect
 import filecmp
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +271,24 @@ def test_wav_cut_mid_sample_exits_1_naming_it(synth_dir, tmp_path, capsys, comma
     assert not (tmp_path / "run").exists()
 
 
+def test_wav_chunk_past_the_riff_chunk_exits_1_naming_it(synth_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.wav"
+    data = bytearray((synth_dir / "clean" / "utt000.wav").read_bytes())
+    data[19] = 0x40  # high byte of the fmt chunk's size
+    bad.write_bytes(bytes(data))
+    model = tmp_path / "model.bin"
+    nm.save_checkpoint(model, nm.build_model(nm.ModelConfig(blocks=1, channels=4), seed=7))
+    assert main(["enhance", "--checkpoint", str(model), "--in", str(bad), "--out", str(tmp_path / "x.wav")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not a readable PCM WAV file (chunk size out of range)\n"
+    assert not (tmp_path / "x.wav").exists()
+
+
+def _child_env():
+    """The environment of a ``python -m ccrn.cli`` child that imports this checkout's ccrn."""
+    src = str(Path(ccrn.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("train")
@@ -333,6 +353,43 @@ class TestTrain:
         model, extra = nm.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert model.blocks[-1].out_state is None
         assert extra["train.step"][0] == 2
+
+    def test_interrupt_exits_2_keeping_a_checkpoint_that_resumes(self, tmp_path):
+        base = (
+            "model.blocks = 1\nmodel.channels = 16\n"
+            "train.seq_len = 20\ntrain.batch_size = 1\ntrain.seed = 5\ntrain.checkpoint_interval = 1\n"
+            "corpus.utterances = 2\ncorpus.duration = 0.5\ncorpus.seed = 9\n"
+        )
+        endless = tmp_path / "endless.cfg"
+        endless.write_text(base + "train.steps = 1000000\n")
+        run = tmp_path / "run"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ccrn.cli", "train", "--config", str(endless), "--out", str(run)],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not (run / "checkpoint.bin").exists():
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert child.returncode == 2
+        assert err == "error: interrupted\n"
+
+        # the checkpoint the interrupt left resumes to the bytes of an uninterrupted run
+        _, extra = nm.load_checkpoint(run / "checkpoint.bin")
+        steps = int(extra["opt.t"][0]) + 2
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(base + f"train.steps = {steps}\n")
+        resume = ["--resume", str(run / "checkpoint.bin")]
+        assert main(["train", "--config", str(cfg), "--out", str(run), *resume]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "straight")]) == 0
+        for name in ("checkpoint.bin", "train_log.csv"):
+            assert (run / name).read_bytes() == (tmp_path / "straight" / name).read_bytes(), name
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.bin", "train_log.csv"]
 
     def test_bad_channels_exit_1_before_any_output(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -638,10 +695,8 @@ class TestEnhance:
             "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"), "--out", str(out_wav),
         ]
         # a subprocess, so that an exception raised while a half-built writer is collected reaches stderr
-        src = str(Path(ccrn.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
-            [sys.executable, "-m", "ccrn.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-m", "ccrn.cli", *argv], env=_child_env(), capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 2
         assert result.stderr == f"error: {out_wav}: directory {out_wav.parent} does not exist\n"
@@ -659,6 +714,21 @@ class TestEnhance:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert loads == []
+
+    def test_probes_naming_a_file_exits_2_before_any_work(self, trained_run, synth_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        probes = tmp_path / "probes"
+        probes.write_text("not a directory\n")
+        loads = []
+        monkeypatch.setattr(nm, "load_checkpoint", lambda *a: loads.append(a))
+        assert main([
+            "enhance", "--checkpoint", str(trained_run / "run" / "checkpoint.bin"),
+            "--in", str(synth_dir / "noisy" / "rt60_0.25" / "utt000.wav"),
+            "--out", str(tmp_path / "x.wav"), "--probes", str(probes),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {probes}: --probes names a file, not a directory\n"
+        assert loads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["probes"]
 
     def test_bad_blocks_rejected(self, trained_run, synth_dir, tmp_path):
         assert main([

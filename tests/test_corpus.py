@@ -184,6 +184,15 @@ class TestWavIO:
         with pytest.raises(ValueError, match=f"^{path}: data chunk holds 4 bytes, header claims 6$"):
             cp.read_wav(path)
 
+    def test_chunk_past_the_riff_chunk_names_the_file(self, tmp_path):
+        path = tmp_path / "x.wav"
+        cp.write_wav(path, cp.synth_speech(0.1, seed=92))
+        data = bytearray(path.read_bytes())
+        data[19] = 0x40  # high byte of the fmt chunk's size: the chunk now runs past the RIFF chunk
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"^{path}: not a readable PCM WAV file \(chunk size out of range\)$"):
+            cp.read_wav(path)
+
     def test_write_into_a_missing_directory_leaves_no_half_built_writer(self, tmp_path, monkeypatch):
         import gc
         import sys

@@ -340,3 +340,35 @@ class TestCheckpoint:
         nm.save_checkpoint(p1, model)
         nm.save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "model.bin"
+        nm.save_checkpoint(path, nm.build_model(tiny_config(), seed=7))
+        before = path.read_bytes()
+        writes = []
+        real_write = nm._write_array
+
+        def fail_midway(fh, name, arr):
+            writes.append(name)
+            if len(writes) == 5:
+                raise failure
+            real_write(fh, name, arr)
+
+        monkeypatch.setattr(nm, "_write_array", fail_midway)
+        with pytest.raises(type(failure)):
+            nm.save_checkpoint(path, nm.build_model(tiny_config(), seed=8))
+        assert len(writes) == 5
+        assert path.read_bytes() == before
+        nm.load_checkpoint(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+    def test_header_cut_with_a_bad_kind_byte_reads_as_truncated(self, tmp_path):
+        # the header is read whole before the kind byte is checked
+        path = tmp_path / "cut.bin"
+        path.write_bytes(b"CCRN01\x07" + b"\0" * 8)
+        with pytest.raises(ValueError, match="cut.bin: checkpoint is truncated"):
+            nm.load_checkpoint(path)
+        path.write_bytes(b"CCRN01\x07" + b"\0" * 24)
+        with pytest.raises(ValueError, match="cut.bin: unknown model kind code 7"):
+            nm.load_checkpoint(path)
