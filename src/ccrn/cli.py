@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -285,9 +286,17 @@ def _score(
     tag: str, clean: dict[str, Waveform], files: dict[str, dict[str, Path]], report: Path
 ) -> dict[str, tuple[float, float]]:
     """Score each file against its clean reference, write ``report``, print and return per-condition means."""
+
+    def score(utt_id: str, path: Path) -> quality.QualityReport:
+        wave = corpus_mod.read_wav(path)
+        try:
+            return quality.quality_report(clean[utt_id], wave)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+
     rows, means = [], {}
     for name, paths in files.items():
-        scores = [quality.quality_report(clean[utt_id], corpus_mod.read_wav(path)) for utt_id, path in paths.items()]
+        scores = [score(utt_id, path) for utt_id, path in paths.items()]
         rows += [[utt_id, name, f"{s.llr:.6f}", f"{s.srmr:.6f}", s.n_active_frames] for utt_id, s in zip(paths, scores)]
         means[name] = (float(np.mean([s.llr for s in scores])), float(np.mean([s.srmr for s in scores])))
     with open(report, "w", newline="") as fh:
@@ -337,6 +346,8 @@ def cmd_evaluate(
 
 def cmd_gradcheck(step: float) -> int:
     """Finite-difference check of small float64 models of both kinds."""
+    if not 0 < step < math.inf:
+        raise ConfigError(f"--step must be positive and finite, got {step}")
     worst = 0.0
     for kind in (netmodel.KIND_CCRN, netmodel.KIND_CCRN_STATE):
         rng = np.random.default_rng(44)
@@ -358,7 +369,7 @@ def cmd_gradcheck(step: float) -> int:
         err = diffcore.grad_check(loss_fn, params, h=step)
         print(f"{kind}: max relative gradient error {err:.3e} (kink margin {margin:.2e})")
         worst = max(worst, err)
-    if worst >= 1e-4:
+    if not worst < 1e-4:
         raise CommandError(f"gradient check failed: worst relative error {worst:.3e} >= 1e-4")
     return 0
 

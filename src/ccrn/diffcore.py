@@ -154,6 +154,9 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     gradient G zero on the dropped rows:
     dW[:, :, j] = G[:R].T @ X[j:j+R] and dX[j:j+R] += G[:R] @ W[:, :, j],
     then crops the padding. Differentiable w.r.t. input, weight and bias.
+    The backward pass keeps no padded copy of x: it rebuilds X with the
+    same ``np.pad`` from x's value when the weight needs a gradient, and
+    sizes dX from the shape alone.
     """
     w = weight.value
     if w.ndim != 3:
@@ -173,7 +176,8 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
 
     span = t + 2 * padding
     rows = b * span - 2 * padding
-    flat = np.pad(xv, ((0, 0), (padding, padding), (0, 0))).reshape(b * span, c_in)
+    pad = ((0, 0), (padding, padding), (0, 0))
+    flat = np.pad(xv, pad).reshape(b * span, c_in)
     out = np.empty((b * span, c_out), dtype=np.result_type(flat, w))
     np.matmul(flat[:rows], w[:, :, 0].T, out=out[:rows])
     for j in range(1, k):
@@ -190,12 +194,13 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
         gflat.reshape(b, span, c_out)[:, :t] = g3
         gflat = gflat[:rows]
         if weight.requires_grad:
+            flat = np.pad(xv, pad).reshape(b * span, c_in)
             dw = np.empty_like(w)
             for j in range(k):
                 dw[:, :, j] = gflat.T @ flat[j:j + rows]
             _accumulate(weight, dw)
         if x.requires_grad:
-            dflat = np.zeros_like(flat)
+            dflat = np.zeros((b * span, c_in), dtype=xv.dtype)
             for j in range(k):
                 dflat[j:j + rows] += gflat @ w[:, :, j]
             dx = dflat.reshape(b, span, c_in)[:, padding:padding + t]
@@ -215,7 +220,10 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
     Building a graph, it normalizes with the batch statistics and folds
     them into the running estimates; inside ``no_grad`` it normalizes with
     the running estimates and changes nothing. Differentiable w.r.t. input,
-    gamma and beta.
+    gamma and beta. The backward pass keeps x's value, the batch mean and
+    the inverse deviation, not the normalized input: it recomputes
+    ``xhat = (x - mean) * inv_std`` with the forward's ufuncs, so the bits
+    are the same.
     """
     xv = x.value
     axes = _channel_axes(xv, "batchnorm1d")
@@ -235,13 +243,15 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
         xhat *= inv_std
         state.running_mean += state.momentum * (mu - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
-    else:
+    else:  # no graph is built, so no backward reads mu
         inv_std = (1.0 / np.sqrt(state.running_var + state.eps)).astype(xv.dtype)
         xhat = (xv - state.running_mean) * inv_std
     out = gamma.value * xhat + beta.value
 
     def backward(g: Array) -> None:
         _accumulate(beta, g.sum(axis=axes))
+        xhat = xv - mu
+        xhat *= inv_std
         if gamma.requires_grad:
             _accumulate(gamma, (g * xhat).sum(axis=axes))
         if x.requires_grad:
@@ -316,7 +326,11 @@ def concat_channels(a: Node, b: Node) -> Node:
 
 
 def mse(x: Node, target: Array) -> Node:
-    """Scalar mean of squared elementwise differences against a constant."""
+    """Scalar mean of squared elementwise differences against a constant.
+
+    The backward pass keeps no difference array: it recomputes
+    ``x - target`` from x's value and the target.
+    """
     target = np.asarray(target)
     if x.value.shape != target.shape:
         raise ValueError(f"mse: shape mismatch {x.value.shape} vs {target.shape}")
@@ -324,7 +338,7 @@ def mse(x: Node, target: Array) -> Node:
     out = np.asarray(np.mean(diff * diff))
 
     def backward(g: Array) -> None:
-        _accumulate(x, g * (2.0 / diff.size) * diff)
+        _accumulate(x, g * (2.0 / x.value.size) * (x.value - target))
 
     return Node(out, parents=(x,), backward=backward, op="mse")
 
@@ -411,13 +425,15 @@ def grad_check(loss_fn: Callable[[], Node], params: Sequence[Node], h: float = 1
 
     ``loss_fn`` rebuilds the scalar loss from the current parameter values;
     it must be deterministic (checked by evaluating twice). Relative error
-    per element is |a - n| / max(|a|, |n|, 1e-8). Gradients whose analytic
-    and numeric values both sit below the central-difference resolution
-    limit eps*|f|/h (cancellation noise) count as exact zeros, so an
-    identically-zero loss reports 0 rather than NaN.
+    per element is |a - n| / max(|a|, |n|, 1e-8), and inf when either is
+    not finite. Gradients whose analytic and numeric values both sit below
+    the central-difference resolution limit eps*|f|/h (cancellation noise)
+    count as exact zeros, so an identically-zero loss reports 0 rather than
+    NaN. A step so small that this limit covers every element while some
+    analytic gradient is non-zero compares nothing, and is a ``ValueError``.
     """
-    if h <= 0:
-        raise ValueError(f"grad_check: step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"grad_check: step size must be positive and finite, got {h}")
     first = float(loss_fn().value)
     second = float(loss_fn().value)
     if first != second:
@@ -430,7 +446,7 @@ def grad_check(loss_fn: Callable[[], Node], params: Sequence[Node], h: float = 1
         p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in params
     ]
 
-    worst = 0.0
+    worst, compared = 0.0, 0
     for p, a in zip(params, analytic):
         for idx in np.ndindex(p.value.shape):
             orig = p.value[idx]
@@ -440,8 +456,15 @@ def grad_check(loss_fn: Callable[[], Node], params: Sequence[Node], h: float = 1
             f_minus = float(loss_fn().value)
             p.value[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
-            if abs(float(a[idx])) < noise_floor and abs(numeric) < noise_floor:
+            exact = float(a[idx])
+            if not (math.isfinite(exact) and math.isfinite(numeric)):
+                return math.inf
+            if abs(exact) < noise_floor and abs(numeric) < noise_floor:
                 continue
-            err = abs(float(a[idx]) - numeric) / max(abs(float(a[idx])), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            compared += 1
+            worst = max(worst, abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-8))
+    if not compared and any(np.any(a) for a in analytic):
+        raise ValueError(
+            f"grad_check: step size {h} is too small: every gradient is under the noise floor {noise_floor:.1e}"
+        )
     return worst

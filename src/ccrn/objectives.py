@@ -394,14 +394,14 @@ def train(
             pool = stack.enter_context(ThreadPoolExecutor(1))
         steps = range(state.t, cfg.steps)
         for step, (x_np, y_np) in zip(steps, _batches(build, steps, pool)):
-            _, probes = netmodel.forward_nodes(model, Node(x_np), want_probes=True)
+            out, probes = netmodel.forward_nodes(model, Node(x_np), want_probes=True)
             total, report = cost_graph(probes, y_np, cfg.alpha)
             if not math.isfinite(report.total):
                 raise TrainingDiverged(f"cost became {report.total} at step {step}")
             diffcore.zero_grads(node for _, node in params)
             diffcore.backprop(total)
             adamw_step(params, state, cfg)
-            del probes, total  # free this step's graph before the next one is built
+            del out, probes, total  # free this step's graph before the next one is built
             reports.append(report)
             if writer is not None:
                 writer.writerow([step, repr(report.total), repr(report.main)] + [repr(c) for c in report.per_block])

@@ -819,6 +819,17 @@ class TestEvaluate:
         assert scored == []
         assert not list(tmp_path.glob("report*.csv"))
 
+    def test_silent_enhanced_file_exits_1_naming_it(self, synth_dir, tmp_path, capsys):
+        enhanced = tmp_path / "enhanced"
+        shutil.copytree(synth_dir / "clean", enhanced / "rt60_0.25")
+        silent = enhanced / "rt60_0.25" / "utt001.wav"
+        cp.write_wav(silent, fe.Waveform(np.zeros(cp.read_wav(silent).samples.size)))
+        assert main([
+            "evaluate", "--manifest", str(synth_dir / "manifest.csv"),
+            "--enhanced-dir", str(enhanced), "--report", str(tmp_path / "r.csv"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {silent}: no scorable active frames\n"
+
     def test_failed_direction_exits_nonzero(self, synth_dir, tmp_path):
         # "enhanced" dir holds the corrupted files themselves: no improvement
         assert main([
@@ -833,3 +844,9 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "ccrn" in out and "ccrn-state" in out
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "1e-300"])
+    def test_nonsense_step_exits_1(self, capsys, step):
+        assert main(["gradcheck", "--step", step]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

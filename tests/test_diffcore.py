@@ -1,5 +1,7 @@
 """Differentiation engine: forward semantics, oracles, gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -563,3 +565,30 @@ class TestGradCheck:
         p = dc.parameter(np.ones(2))
         with pytest.raises(ValueError, match="step"):
             dc.grad_check(lambda: dc.mse(p, np.zeros(2)), [p], h=0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, h):
+        p = dc.parameter(np.ones(2))
+        with pytest.raises(ValueError, match="step"):
+            dc.grad_check(lambda: dc.mse(p, np.zeros(2)), [p], h=h)
+
+    def test_step_that_compares_nothing_rejected(self):
+        # eps*|f|/h covers every element, so no non-zero gradient would be compared
+        p = dc.parameter(np.ones(2))
+        with pytest.raises(ValueError, match="step size 1e-300 is too small"):
+            dc.grad_check(lambda: dc.mse(p, np.zeros(2)), [p], h=1e-300)
+
+    @pytest.mark.parametrize("broken", ["analytic", "numeric"])
+    def test_non_finite_gradient_scores_inf(self, broken):
+        p = dc.parameter(np.ones(3))
+
+        def loss_fn():
+            # analytic: the backward hands p NaNs; numeric: the loss is NaN below p = 1
+            value = np.nan if broken == "numeric" and p.value.min() < 1.0 else p.value.sum()
+
+            def backward(g):
+                dc._accumulate(p, np.full(3, np.nan if broken == "analytic" else 1.0))
+
+            return dc.Node(np.asarray(value), parents=(p,), backward=backward, op="sum")
+
+        assert dc.grad_check(loss_fn, [p]) == math.inf

@@ -1,6 +1,7 @@
 """Costs, optimizer, example sampling, and the training loop."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -402,6 +403,50 @@ class TestTrain:
         model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=2)
         obj.train(model, small_corpus, small_train_config(steps=4))
         assert calls and len(calls) == len(set(calls))
+
+    def test_last_step_graph_released_before_the_next_forward_returns(self, small_corpus, monkeypatch):
+        # Node has no __weakref__ slot, so the reference is to the output node's value
+        forward_nodes = nm.forward_nodes
+        last, alive = [], []
+
+        def watched(*args, **kwargs):
+            out, probes = forward_nodes(*args, **kwargs)
+            alive.extend(ref() is not None for ref in last)
+            last[:] = [weakref.ref(out.value)]
+            return out, probes
+
+        monkeypatch.setattr(obj.netmodel, "forward_nodes", watched)
+        model = nm.build_model(nm.ModelConfig(blocks=2, channels=64), seed=2)
+        obj.train(model, small_corpus, small_train_config(steps=3))
+        assert alive == [False, False]
+
+    @pytest.mark.parametrize("kind", [nm.KIND_CCRN, nm.KIND_CCRN_STATE])
+    def test_backward_closures_store_no_second_copy_of_an_activation(self, kind):
+        b, t, c = 2, 60, 64
+        model = nm.build_model(nm.ModelConfig(kind=kind, blocks=2, channels=c, state_step=4), seed=2)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((b, t, model.config.input_dim)).astype(np.float32)
+        target = rng.standard_normal((b, t, c)).astype(np.float32)
+        _, probes = nm.forward_nodes(model, dc.Node(x), want_probes=True)
+        total, _ = obj.cost_graph(probes, target, alpha=0.1)
+
+        nodes, seen, stack = [], set(), [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node.parents)
+        held = [n.value for n in nodes] + [target]
+        copies = []
+        for node in nodes:
+            closure = node._backward.__closure__ if node._backward else None
+            for cell in closure or ():
+                arr = cell.cell_contents
+                if isinstance(arr, np.ndarray) and arr.size >= b * t * c // 2:
+                    if not any(np.shares_memory(arr, v) for v in held):
+                        copies.append(f"{node.op}: {arr.dtype}{arr.shape}")
+        assert copies == []
 
     def test_batches_through_one_scratch_match_fresh_scratches(self, small_corpus):
         cfg = small_train_config(batch_size=3)
