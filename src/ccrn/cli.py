@@ -120,24 +120,21 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config_text(p.read_text(), str(p))
 
 
-def _read_manifest_audio(manifest_path: str) -> dict[str, Waveform]:
-    """Utterance id -> waveform for every manifest row, in row order.
+def _manifest_paths(manifest_path: str) -> dict[str, Path]:
+    """Utterance id -> WAV path for every manifest row, in row order.
 
     Relative WAV paths resolve against the manifest's directory.
     """
     base = Path(manifest_path).parent
-    waves = {}
-    for utt_id, wav_path, _ in corpus_mod.read_manifest(manifest_path):
-        p = Path(wav_path)
-        waves[utt_id] = corpus_mod.read_wav(p if p.is_absolute() else base / p)
-    if not waves:
+    paths = {utt_id: base / wav_path for utt_id, wav_path, _ in corpus_mod.read_manifest(manifest_path)}
+    if not paths:
         raise ConfigError(f"{manifest_path}: manifest lists no utterances")
-    return waves
+    return paths
 
 
 def _load_corpus(config: RunConfig, manifest_path: str | None) -> list[Waveform]:
     if manifest_path is not None:
-        return list(_read_manifest_audio(manifest_path).values())
+        return [corpus_mod.read_wav(p) for p in _manifest_paths(manifest_path).values()]
     return [
         corpus_mod.synth_speech(config.duration_s, config.corpus_seed + i)
         for i in range(config.utterances)
@@ -282,6 +279,18 @@ def _condition_files(root: Path, ids) -> dict[str, dict[str, Path]]:
     return files
 
 
+def _check_scorable(path: Path) -> None:
+    """Raise the error ``quality.quality_report`` gives first for a silent or sub-0.5 s test WAV.
+
+    The samples are dropped on return, so checking a corpus holds one file at a time.
+    """
+    samples = corpus_mod.read_wav(path).samples
+    if not samples.any():
+        raise ConfigError(f"{path}: no scorable active frames")  # llr runs before srmr
+    if samples.size < frontend.SAMPLE_RATE // 2:
+        raise ConfigError(f"{path}: srmr needs at least 0.5 s of signal")
+
+
 def _score(
     tag: str, clean: dict[str, Waveform], files: dict[str, dict[str, Path]], report: Path
 ) -> dict[str, tuple[float, float]]:
@@ -315,13 +324,24 @@ def cmd_evaluate(
         raise ConfigError("--check-direction needs --noisy-dir")
     if report_path:
         _check_out_dir(report_path)
-    # both directories are listed and checked before anything is scored or written
-    clean = _read_manifest_audio(manifest)
+    # both directories are listed and every file is checked before anything is scored or written
+    clean_paths = _manifest_paths(manifest)
+    clean = {utt_id: corpus_mod.read_wav(path) for utt_id, path in clean_paths.items()}
     enhanced = _condition_files(Path(enhanced_dir), clean)
     noisy = None if noisy_dir is None else _condition_files(Path(noisy_dir), clean)
     absent = [name for name in enhanced if name not in noisy] if check_direction else []
     if absent:
         raise ConfigError(f"--check-direction: {noisy_dir} has no condition {', '.join(absent)}")
+    for utt_id, path in clean_paths.items():
+        try:
+            if not quality.vad_mask(clean[utt_id]).any():
+                raise ValueError("reference has no active frames")
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from err
+    for files in (enhanced, noisy or {}):
+        for paths in files.values():
+            for path in paths.values():
+                _check_scorable(path)
 
     report = Path(report_path) if report_path else Path(enhanced_dir) / "report.csv"
     enh_means = _score("enhanced", clean, enhanced, report)

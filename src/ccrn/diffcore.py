@@ -138,20 +138,30 @@ def _channel_axes(a: Array, what: str) -> tuple[int, ...]:
 
 
 def conv1d(x: Node, weight: Node, bias: Node) -> Node:
-    """1-D convolution (cross-correlation) along the time axis, one flat GEMM per tap.
+    """1-D convolution (cross-correlation) along the time axis as flat GEMMs.
 
     x is (T, C_in) or (B, T, C_in); weight is (C_out, C_in, k) with k odd
-    (the checkpoint layout; tap j is read as the view ``W[:, :, j].T``).
-    Each example is zero-padded by p = (k-1)/2 frames at both ends, so the
-    output keeps the input length T, and the padded batch is flattened to
-    X of shape (B*(T+2p), C_in). With R = B*(T+2p) - 2p:
+    (the checkpoint layout). Each example is zero-padded by p = (k-1)/2
+    frames at both ends, so the output keeps the input length T, and the
+    padded batch is flattened to X of shape (B*(T+2p), C_in). With
+    R = B*(T+2p) - 2p:
 
         out_flat[:R] = bias + sum_j X[j:j+R] @ W[:, :, j].T
 
     Row b*(T+2p) + t of out_flat is output frame t of example b; the 2p
     rows after each example's T frames mix two examples and are dropped.
-    The backward pass reads the same sum in reverse, with the output
-    gradient G zero on the dropped rows:
+    The forward picks whichever operand is smaller to rearrange. When
+    R >= C_out (a training batch of 8 x 200 frames), it runs one GEMM per
+    tap on the strided view ``W[:, :, j].T`` and reads the input in place.
+    When R < C_out (paper-size inference, one file at 512 channels),
+    gathering those views would cost more than the products, so it
+    unfolds the input instead: ``cols[:, :, j] = X[j:j+R]`` into one
+    (R, C_in, k) buffer, then a single
+    ``cols.reshape(R, C_in*k) @ W.reshape(C_out, C_in*k).T`` reads the
+    stored weight as-is. The rule depends on shapes alone.
+    The backward pass reads the same sum in reverse, one GEMM per tap
+    whatever the shapes, with the output gradient G zero on the dropped
+    rows:
     dW[:, :, j] = G[:R].T @ X[j:j+R] and dX[j:j+R] += G[:R] @ W[:, :, j],
     then crops the padding. Differentiable w.r.t. input, weight and bias.
     The backward pass keeps no padded copy of x: it rebuilds X with the
@@ -179,9 +189,15 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
     pad = ((0, 0), (padding, padding), (0, 0))
     flat = np.pad(xv, pad).reshape(b * span, c_in)
     out = np.empty((b * span, c_out), dtype=np.result_type(flat, w))
-    np.matmul(flat[:rows], w[:, :, 0].T, out=out[:rows])
-    for j in range(1, k):
-        out[:rows] += flat[j:j + rows] @ w[:, :, j].T
+    if rows < c_out:
+        cols = np.empty((rows, c_in, k), dtype=flat.dtype)
+        for j in range(k):
+            cols[:, :, j] = flat[j:j + rows]
+        np.matmul(cols.reshape(rows, c_in * k), w.reshape(c_out, c_in * k).T, out=out[:rows])
+    else:
+        np.matmul(flat[:rows], w[:, :, 0].T, out=out[:rows])
+        for j in range(1, k):
+            out[:rows] += flat[j:j + rows] @ w[:, :, j].T
     out[:rows] += bias.value
     out3 = out.reshape(b, span, c_out)[:, :t]
 

@@ -830,6 +830,35 @@ class TestEvaluate:
         ]) == 1
         assert capsys.readouterr().err == f"error: {silent}: no scorable active frames\n"
 
+    @pytest.mark.parametrize("case", [
+        "silent enhanced", "short enhanced", "silent noisy", "short noisy", "silent reference", "short reference",
+    ])
+    def test_unscorable_file_exits_1_before_anything_is_scored(self, synth_dir, tmp_path, capsys, monkeypatch, case):
+        # the last file of the last directory scored is the bad one, so a late check would score others first
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        enhanced = tmp_path / "enhanced"
+        shutil.copytree(data / "clean", enhanced / "rt60_0.25")
+        shutil.copytree(data / "clean", enhanced / "rt60_0.50")
+        kind, role = case.split()
+        where = {"enhanced": enhanced / "rt60_0.50", "noisy": data / "noisy" / "rt60_0.50", "reference": data / "clean"}
+        bad = where[role] / "utt002.wav"
+        samples = cp.read_wav(bad).samples
+        short = 399 if role == "reference" else 7999  # under one 25 ms frame; under 0.5 s
+        cp.write_wav(bad, fe.Waveform(np.zeros_like(samples) if kind == "silent" else samples[:short]))
+        tested = enhanced / "rt60_0.50" / "utt002.wav" if role == "reference" else bad
+        with pytest.raises(ValueError) as raised:  # the message scoring it would give
+            cli.quality.quality_report(cp.read_wav(data / "clean" / "utt002.wav"), cp.read_wav(tested))
+        scored = []
+        monkeypatch.setattr(cli.quality, "quality_report", lambda *a: scored.append(a))
+        assert main([
+            "evaluate", "--manifest", str(data / "manifest.csv"), "--enhanced-dir", str(enhanced),
+            "--noisy-dir", str(data / "noisy"), "--report", str(tmp_path / "r.csv"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {raised.value}\n"
+        assert scored == []
+        assert not list(tmp_path.glob("r*.csv"))
+
     def test_failed_direction_exits_nonzero(self, synth_dir, tmp_path):
         # "enhanced" dir holds the corrupted files themselves: no improvement
         assert main([

@@ -91,28 +91,53 @@ class TestConv1d:
             assert np.allclose(batched[i], single, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    @pytest.mark.parametrize("surplus", [-1, 0, 1])
+    def test_unfold_path_boundary_matches_oracle(self, surplus, batch, k):
+        # R = B*(T+2p) - 2p flat rows; R < C_out unfolds the input, R >= C_out runs one GEMM per tap
+        rng = np.random.default_rng(18)
+        t, c_in, p = 7, 3, (k - 1) // 2
+        rows = (batch[0] if batch else 1) * (t + 2 * p) - 2 * p
+        c_out = rows - surplus
+        x = rng.standard_normal(batch + (t, c_in))
+        w = rng.standard_normal((c_out, c_in, k))
+        b = rng.standard_normal(c_out)
+        got = dc.conv1d(dc.Node(x), dc.parameter(w), dc.parameter(b)).value
+        assert got.shape == batch + (t, c_out)
+        assert np.max(np.abs(got - conv1d_loops(x, w, b, p))) < 1e-12
+
+    def test_unfold_path_is_deterministic(self):
+        rng = np.random.default_rng(19)
+        x = dc.Node(rng.standard_normal((2, 30, 24)).astype(np.float32))
+        w = dc.parameter(rng.standard_normal((96, 24, 3)).astype(np.float32))
+        b = dc.parameter(rng.standard_normal(96).astype(np.float32))
+        first = dc.conv1d(x, w, b).value
+        assert np.array_equal(first, dc.conv1d(x, w, b).value)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
     def test_examples_do_not_leak_into_neighbours(self, k):
         # the flat GEMM computes rows that straddle two examples; none may reach the result
         rng = np.random.default_rng(17)
-        w = dc.parameter(rng.standard_normal((4, 3, k)))
-        b = dc.parameter(rng.standard_normal(4))
-        target = rng.standard_normal((3, 6, 4))
-
-        def run(x):
-            xs = dc.parameter(x)
-            out = dc.conv1d(xs, w, b)
-            dc.backprop(dc.mse(out, target))
-            return out.value, xs.grad
-
         x = rng.standard_normal((3, 6, 3))
         changed = x.copy()
         changed[1] = rng.standard_normal((6, 3)) * 100.0
-        out, dx = run(x)
-        out_changed, dx_changed = run(changed)
-        for i in (0, 2):
-            assert np.array_equal(out[i], out_changed[i])
-            assert np.array_equal(dx[i], dx_changed[i])
-        assert not np.array_equal(out[1], out_changed[1])
+        for c_out in (4, 40):  # 40 > every flat row count R here: the forward unfolds
+            w = dc.parameter(rng.standard_normal((c_out, 3, k)))
+            b = dc.parameter(rng.standard_normal(c_out))
+            target = rng.standard_normal((3, 6, c_out))
+
+            def run(x):
+                xs = dc.parameter(x)
+                out = dc.conv1d(xs, w, b)
+                dc.backprop(dc.mse(out, target))
+                return out.value, xs.grad
+
+            out, dx = run(x)
+            out_changed, dx_changed = run(changed)
+            for i in (0, 2):
+                assert np.array_equal(out[i], out_changed[i])
+                assert np.array_equal(dx[i], dx_changed[i])
+            assert not np.array_equal(out[1], out_changed[1])
 
     def test_channel_mismatch_rejected(self):
         x = dc.Node(np.zeros((8, 3)))
@@ -502,6 +527,18 @@ class TestGradCheck:
         w = dc.parameter(rng.standard_normal((3, 2, 2 * padding + 1)) * 0.4)
         b = dc.parameter(rng.standard_normal(3) * 0.1)
         target = rng.standard_normal(batch + (9, 3))
+
+        def loss_fn():
+            return dc.mse(dc.conv1d(x, w, b), target)
+
+        assert dc.grad_check(loss_fn, [x, w, b]) < 1e-6
+
+    def test_conv_gradients_where_the_forward_unfolds(self):
+        rng = np.random.default_rng(20)
+        x = dc.parameter(rng.standard_normal((2, 5, 3)))  # R = 2*7 - 2 = 12 flat rows < 16 output channels
+        w = dc.parameter(rng.standard_normal((16, 3, 3)) * 0.4)
+        b = dc.parameter(rng.standard_normal(16) * 0.1)
+        target = rng.standard_normal((2, 5, 16))
 
         def loss_fn():
             return dc.mse(dc.conv1d(x, w, b), target)
