@@ -134,9 +134,11 @@ def _fft_size(win: int) -> int:
 class _Scratch:
     """Grow-only work buffers that ``_features`` fills in place.
 
-    A caller that builds many feature sets keeps one, so the multi-MB frame,
-    rfft and feature buffers are allocated once, not per utterance. Only
-    one thread at a time may use a scratch; no returned array aliases it.
+    A caller that builds many feature sets keeps one, so the frame, rfft,
+    power and feature buffers are allocated once, not per utterance. The
+    frame and rfft buffers hold one ``_BLOCK_ROWS``-frame block, the power
+    and feature buffers every frame: ~6.6 MB for a 3 s utterance. Only one
+    thread at a time may use a scratch; no returned array aliases it.
     """
 
     def __init__(self) -> None:
@@ -151,16 +153,18 @@ class _Scratch:
         return flat[:size].reshape(shape)
 
 
-def _analysis(w: Waveform, win_ms: float, scratch: _Scratch, n_frames: int | None = None) -> np.ndarray:
-    """rfft of the first ``n_frames`` (default all) Hamming-windowed frames of one stream (10 ms hop).
+# frames per front-end block: the padded 75 ms frames and their rfft take ~1 MB each
+_BLOCK_ROWS = 64
+
+
+def _analysis(frames: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """rfft of Hamming-windowed ``frames`` (rows of ``frame_view``), zero-padded to the stream's FFT length.
 
     The windowed frames go straight into the scratch's zero-padded
-    T x nfft buffer and the transform into its spectrum buffer. The
-    returned view of that buffer lasts until the next analysis on
-    ``scratch``.
+    frame buffer and the transform into its spectrum buffer. The returned
+    view of that buffer lasts until the next analysis on ``scratch``.
     """
-    win = _window_samples(win_ms)
-    frames = frame_view(w.samples, win, _window_samples(HOP_MS))[:n_frames]
+    win = frames.shape[1]
     nfft = _fft_size(win)
     buf = scratch.view("frames", (frames.shape[0], nfft))
     np.multiply(frames, _hamming_periodic(win), out=buf[:, :win])
@@ -219,10 +223,10 @@ def cepstral_features(log_mel: np.ndarray) -> np.ndarray:
     return scipy.fft.dct(np.asarray(log_mel), type=2, norm="ortho", axis=1)
 
 
-def _phase(spectrum: np.ndarray) -> PhaseSpectrogram:
-    """Phase of an rfft in (-pi, pi]: ``np.angle`` with -pi folded onto pi."""
-    phase = np.angle(spectrum)
-    return PhaseSpectrogram(np.where(phase <= -np.pi, np.pi, phase))
+def _phase(spectrum: np.ndarray, out: np.ndarray) -> None:
+    """Phase of an rfft in (-pi, pi] into ``out``: ``np.angle`` with -pi folded onto pi."""
+    np.arctan2(spectrum.imag, spectrum.real, out=out)  # np.angle's own computation
+    out[out <= -np.pi] = np.pi
 
 
 def _n_frames(n_samples: int) -> int:
@@ -237,7 +241,10 @@ def _features(
 
     Every stream is analysed for the T frames of the 75 ms stream only, and
     its columns are written straight into the scratch's raw T x 876
-    matrix. The returned arrays are fresh; none aliases ``scratch``.
+    matrix. Framing, windowing, rfft, log FFT, phase and power run one
+    ``_BLOCK_ROWS``-frame block at a time, each row as it would alone; the
+    mel products and DCTs take all T rows. The returned arrays are fresh;
+    none aliases ``scratch``.
     Training uses the features alone and so skips the phase.
     """
     n_frames = _n_frames(w.samples.size)
@@ -245,23 +252,29 @@ def _features(
         raise ValueError("signal shorter than the 75 ms analysis window")
 
     raw = scratch.view("raw", (n_frames, FEATURE_DIM))
-    phase = None
+    phase = np.empty((n_frames, FFT_BINS // 2 + 1)) if with_phase else None
+    hop = _window_samples(HOP_MS)
     col = FFT_BINS
     for n_mels, win_ms in MEL_STREAMS:
-        spectrum = _analysis(w, win_ms, scratch, n_frames)
-        power = scratch.view("power", spectrum.shape)
-        if win_ms == FRAME_MS:
-            # the 25 ms magnitudes give the log FFT, then are squared into the power
-            if with_phase:
-                phase = _phase(spectrum)
-            np.abs(spectrum, out=power)
-            _log_magnitude(power, FFT_BINS, out=raw[:, :FFT_BINS])
-            np.square(power, out=power)
-        else:
-            np.square(spectrum.real, out=power)
-            # the padded frames are spent once transformed, so their buffer holds imag**2
-            imag_sq = np.square(spectrum.imag, out=scratch.view("frames", spectrum.shape))
-            np.add(power, imag_sq, out=power)
+        frames = frame_view(w.samples, _window_samples(win_ms), hop)[:n_frames]
+        power = scratch.view("power", (n_frames, _fft_size(frames.shape[1]) // 2 + 1))
+        for start in range(0, n_frames, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            spectrum = _analysis(frames[rows], scratch)
+            block = power[rows]
+            if win_ms == FRAME_MS:
+                # the 25 ms magnitudes give the log FFT, then are squared into the power
+                if with_phase:
+                    _phase(spectrum, out=phase[rows])
+                np.abs(spectrum, out=block)
+                _log_magnitude(block, FFT_BINS, out=raw[rows, :FFT_BINS])
+                np.square(block, out=block)
+            else:
+                np.square(spectrum.real, out=block)
+                # the padded frames are spent once transformed, so their buffer holds imag**2
+                imag_sq = np.square(spectrum.imag, out=scratch.view("frames", spectrum.shape))
+                np.add(block, imag_sq, out=block)
+        # the mel products and DCTs run on all T rows at once: a row block's product rounds differently
         fbank = raw[:, col:col + n_mels]
         _mel_from_power(power, n_mels, out=fbank)
         raw[:, col + n_mels:col + 2 * n_mels] = cepstral_features(fbank)
@@ -270,7 +283,7 @@ def _features(
 
     std = raw.std(axis=0)
     scale = np.where(std > CONSTANT_RTOL * np.abs(raw).max(axis=0), std, 1.0)
-    return FeatureSequence(raw / scale, scale), phase
+    return FeatureSequence(raw / scale, scale), None if phase is None else PhaseSpectrogram(phase)
 
 
 def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
@@ -290,7 +303,8 @@ def assemble_features(w: Waveform) -> tuple[FeatureSequence, PhaseSpectrogram]:
 
 def target_spectrum(w: Waveform) -> LogSpectrogram:
     """Raw (un-normalized) 512-dim log spectrum, the regression target."""
-    return LogSpectrogram(_log_magnitude(np.abs(_analysis(w, FRAME_MS, _Scratch())), FFT_BINS))
+    frames = frame_view(w.samples, _window_samples(FRAME_MS), _window_samples(HOP_MS))
+    return LogSpectrogram(_log_magnitude(np.abs(_analysis(frames, _Scratch())), FFT_BINS))
 
 
 def fold_spectrum(frames: np.ndarray, n_bands: int) -> np.ndarray:

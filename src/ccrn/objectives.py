@@ -19,7 +19,7 @@ import functools
 import glob
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -35,6 +35,8 @@ from .netmodel import ModelParams
 MAX_STEPS = 2**24
 # longest reverberation time: a 10 s RIR is 160k taps, far beyond any room
 MAX_RT60_S = 10.0
+# held while a clean target is computed and memoized, so that each is computed once
+_TARGETS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,11 @@ def sample_example(
     ``targets`` memoizes each utterance's full (read-only) clean log
     spectrum by corpus index, so a caller drawing many examples from one
     fixed corpus computes each target once; it costs one T x 512 float64
-    array per distinct utterance. ``scratch`` is the front-end's work
-    buffer (a fresh one by default); a caller drawing many examples on one
-    thread passes the same one to every call.
+    array per distinct utterance. Targets are computed under a lock, so
+    threads drawing at once may share one memo. ``scratch`` is the
+    front-end's work buffer (a fresh one by default); a thread drawing many
+    examples passes its own one to every call, since two threads may not
+    use one scratch at once.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -233,12 +237,37 @@ def sample_example(
         seed=noise_seed,
     )
     feats, _ = frontend._features(corpus_mod.corrupt(clean, spec), scratch)
-    if pick not in targets:
-        targets[pick] = frontend.target_spectrum(clean)
-        targets[pick].frames.flags.writeable = False
+    target = targets.get(pick)
+    if target is None:
+        with _TARGETS_LOCK:
+            target = targets.get(pick)
+            if target is None:
+                target = frontend.target_spectrum(clean)
+                target.frames.flags.writeable = False
+                targets[pick] = target
     start = int(rng.integers(n_frames - cfg.seq_len + 1))
     span = slice(start, start + cfg.seq_len)
-    return FeatureSequence(feats.frames[span], feats.norm_scale), LogSpectrogram(targets[pick].frames[span])
+    return FeatureSequence(feats.frames[span], feats.norm_scale), LogSpectrogram(target.frames[span])
+
+
+def _empty_batch(cfg: TrainConfig, dtype, n_bands: int) -> tuple[np.ndarray, np.ndarray]:
+    return (np.empty((cfg.batch_size, cfg.seq_len, frontend.FEATURE_DIM), dtype=dtype),
+            np.empty((cfg.batch_size, cfg.seq_len, n_bands), dtype=dtype))
+
+
+def _put_example(
+    corpus,
+    cfg: TrainConfig,
+    index: int,
+    batch: tuple[np.ndarray, np.ndarray],
+    clean_targets: dict[int, LogSpectrogram] | None = None,
+    scratch: frontend._Scratch | None = None,
+) -> None:
+    """Example ``index`` into row ``index % cfg.batch_size`` of a batch's features and targets."""
+    f, y = sample_example(corpus, cfg, index, targets=clean_targets, scratch=scratch)
+    feats, targets = batch
+    feats[index % cfg.batch_size] = f.frames
+    targets[index % cfg.batch_size] = frontend.fold_spectrum(y.frames, targets.shape[-1])
 
 
 def _batch(
@@ -250,13 +279,11 @@ def _batch(
     clean_targets: dict[int, LogSpectrogram] | None = None,
     scratch: frontend._Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    feats = np.empty((cfg.batch_size, cfg.seq_len, frontend.FEATURE_DIM), dtype=dtype)
-    targets = np.empty((cfg.batch_size, cfg.seq_len, n_bands), dtype=dtype)
-    for j in range(cfg.batch_size):
-        f, y = sample_example(corpus, cfg, step * cfg.batch_size + j, targets=clean_targets, scratch=scratch)
-        feats[j] = f.frames
-        targets[j] = frontend.fold_spectrum(y.frames, n_bands)
-    return feats, targets
+    """Step ``step``'s batch, built serially on the calling thread."""
+    batch = _empty_batch(cfg, dtype, n_bands)
+    for index in range(step * cfg.batch_size, (step + 1) * cfg.batch_size):
+        _put_example(corpus, cfg, index, batch, clean_targets, scratch)
+    return batch
 
 
 @functools.cache
@@ -294,12 +321,13 @@ def _one_blas_thread() -> Iterator[bool]:
         set_(before)
 
 
-# Training overlaps batch synthesis with the network (a prefetch thread,
+# Training overlaps batch synthesis with the network (a worker thread,
 # BLAS on one thread) when the model's multiply-adds per frame, its conv
 # weight count, are at most this. One BLAS thread loses once the network
 # dominates the step. Median ms per step, serial at 2 BLAS threads ->
-# prefetch at 1 (ccrn, batch 8 x 200, float32, 2-core AMD EPYC, OpenBLAS
-# 0.3.31; one or two runs of 15 steps each way):
+# overlap at 1 (ccrn, batch 8 x 200, float32, 2-core AMD EPYC, OpenBLAS
+# 0.3.31; one or two runs of 15 steps each way), measured with a worker
+# that built whole batches, one ahead:
 #   4 x 128    0.73 M    72     ->   62
 #   14 x 128   1.71 M   131     ->  108
 #   4 x 256    2.25 M   118-125 ->  101-103
@@ -307,6 +335,12 @@ def _one_blas_thread() -> Iterator[bool]:
 #   8 x 256    3.82 M   169-178 ->  175-182
 #   4 x 512    7.64 M   244-245 ->  302-309
 #   14 x 512  23.4 M    638     ->  954
+# Re-measured with examples shared between the worker and the training
+# thread, in a host phase ~2.5x slower (two or three runs of 15-20 steps):
+#   4 x 128   200-230 -> 130-152;  4 x 256  323-365 -> 254-267
+#   6 x 256   405-542 -> 367-445;  8 x 256  492-538 -> 454-549
+# so the overlap still wins up to 6 x 256, and 8 x 256 is within the
+# host's noise; the rule stays where the first table put it.
 OVERLAP_MAX_MACS = 3_500_000
 
 
@@ -314,21 +348,117 @@ def _conv_macs_per_frame(model: ModelParams) -> int:
     return sum(node.value.size for name, node in netmodel.named_parameters(model) if name.endswith(".weight"))
 
 
-def _batches(build: Callable[[int], tuple[np.ndarray, np.ndarray]], steps: range, pool: ThreadPoolExecutor | None):
-    """``build(step)`` for each step, in step order.
+@dataclass
+class _Slots:
+    """One batch's arrays and the count of its example slots taken and done, with each failed slot's error."""
 
-    With a pool, its one worker builds every batch, each one step ahead of
-    the caller; an error building a batch is raised where that batch is
-    taken.
+    arrays: tuple[np.ndarray, np.ndarray]
+    taken: int = 0
+    done: int = 0
+    errors: dict[int, BaseException] = field(default_factory=dict)
+
+
+class _SharedBatches:
+    """The batches of ``steps``, built one example slot at a time by the training thread and a worker.
+
+    Slot i is example i of the run, row i % batch_size of step
+    i // batch_size's batch; both threads take slots in order from one
+    counter, so every slot below it is taken. With ``overlap`` a worker
+    thread takes slots from the first on, carrying on into the next batch,
+    but never a slot of a batch more than ``AHEAD`` steps past the one the
+    training thread trains or waits for. ``take(step)`` first builds, on
+    the calling thread with its own scratch, every slot of that batch nobody
+    has taken, and then waits only for the slots the worker is building.
+    Without ``overlap`` it builds the whole batch. A failed example is
+    raised by ``take`` of its own step, the lowest failed slot's error, as
+    a serial run would raise it; the worker takes no slot after one fails.
+    ``close`` stops the worker after its current example and joins it.
     """
-    if pool is None:
-        yield from map(build, steps)
-        return
-    pending = pool.submit(build, steps[0]) if steps else None
-    for step in steps:
-        batch = pending.result()
-        pending = pool.submit(build, step + 1) if step + 1 in steps else None
-        yield batch
+
+    AHEAD = 2
+
+    def __init__(self, corpus, cfg: TrainConfig, steps: range, dtype, n_bands: int, overlap: bool) -> None:
+        self._corpus, self._cfg, self._dtype, self._n_bands = corpus, cfg, dtype, n_bands
+        self._clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
+        self._cond = threading.Condition()
+        self._next = steps.start * cfg.batch_size  # the lowest slot nobody has taken
+        self._end = steps.stop * cfg.batch_size
+        self._step = steps.start  # the step the training thread trains or waits for
+        self._batches: dict[int, _Slots] = {}
+        self._stopped = False
+        self._scratch = frontend._Scratch()  # the training thread's
+        self._worker = threading.Thread(target=self._work, name="ccrn-batches") if overlap else None
+        if self._worker is not None:
+            self._worker.start()
+
+    def _claim(self) -> tuple[int, _Slots]:
+        """The lowest slot nobody has taken, now taken, and its batch; the caller holds the lock."""
+        index = self._next
+        self._next += 1
+        slots = self._batches.get(index // self._cfg.batch_size)
+        if slots is None:
+            slots = self._batches[index // self._cfg.batch_size] = _Slots(
+                _empty_batch(self._cfg, self._dtype, self._n_bands))
+        slots.taken += 1
+        return index, slots
+
+    def _build(self, index: int, slots: _Slots, scratch: frontend._Scratch, catch: type[BaseException]) -> bool:
+        """Builds slot ``index``; False if it raised ``catch``, the error kept for ``take`` to raise."""
+        error = None
+        try:
+            _put_example(self._corpus, self._cfg, index, slots.arrays, self._clean_targets, scratch)
+        except catch as exc:
+            error = exc
+        with self._cond:
+            if error is not None:
+                slots.errors[index] = error
+            slots.done += 1
+            self._cond.notify_all()
+        return error is None
+
+    def _work(self) -> None:
+        scratch = frontend._Scratch()
+        while True:
+            with self._cond:
+                while (not self._stopped and self._next < self._end
+                       and self._next // self._cfg.batch_size > self._step + self.AHEAD):
+                    self._cond.wait()
+                if self._stopped or self._next >= self._end:
+                    return
+                index, slots = self._claim()
+            # take() raises a worker's error of any kind on the training thread
+            if not self._build(index, slots, scratch, BaseException):
+                return
+
+    def take(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step ``step``'s features and targets, once every one of its examples is built."""
+        end = (step + 1) * self._cfg.batch_size
+        with self._cond:
+            self._step = step
+            self._cond.notify_all()
+        while True:
+            with self._cond:
+                slots = self._batches.get(step)
+                if self._next >= end or (slots is not None and slots.errors):
+                    break
+                index, slots = self._claim()
+            # a Ctrl-C raised here leaves at once; close() still stops the worker
+            if not self._build(index, slots, self._scratch, Exception):
+                break
+        with self._cond:
+            slots = self._batches.pop(step)
+            while slots.done < slots.taken:
+                self._cond.wait()
+        if slots.errors:
+            raise slots.errors[min(slots.errors)]
+        return slots.arrays
+
+    def close(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+        if self._worker is not None:
+            self._worker.join()
 
 
 def train(
@@ -361,8 +491,6 @@ def train(
     dtype = model.first_layer.weight.value.dtype
     n_blocks = model.config.blocks
     reports: list[CostReport] = []
-    clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
-    scratch = frontend._Scratch()  # only the one thread that builds batches uses it
     log = None
 
     def save() -> None:
@@ -375,9 +503,6 @@ def train(
         extra["opt.t"] = extra["train.step"] = np.array([state.t], dtype=np.float32)
         netmodel.save_checkpoint(checkpoint_path, model, extra)
 
-    def build(step: int) -> tuple[np.ndarray, np.ndarray]:
-        return _batch(corpus, cfg, step, dtype, model.config.channels, clean_targets, scratch)
-
     with contextlib.ExitStack() as stack:
         writer = None
         if log_path is not None:
@@ -388,12 +513,13 @@ def train(
             writer.writerow(header)
             writer.writerows(kept)
 
-        # the pool is shut down, and then the BLAS count restored, on every exit
-        pool = None
-        if _conv_macs_per_frame(model) <= OVERLAP_MAX_MACS and stack.enter_context(_one_blas_thread()):
-            pool = stack.enter_context(ThreadPoolExecutor(1))
         steps = range(state.t, cfg.steps)
-        for step, (x_np, y_np) in zip(steps, _batches(build, steps, pool)):
+        overlap = _conv_macs_per_frame(model) <= OVERLAP_MAX_MACS and stack.enter_context(_one_blas_thread())
+        batches = _SharedBatches(corpus, cfg, steps, dtype, model.config.channels, overlap)
+        # the worker stops and is joined, and then the BLAS count is restored, on every exit
+        stack.callback(batches.close)
+        for step in steps:
+            x_np, y_np = batches.take(step)
             out, probes = netmodel.forward_nodes(model, Node(x_np), want_probes=True)
             total, report = cost_graph(probes, y_np, cfg.alpha)
             if not math.isfinite(report.total):
@@ -401,7 +527,7 @@ def train(
             diffcore.zero_grads(node for _, node in params)
             diffcore.backprop(total)
             adamw_step(params, state, cfg)
-            del out, probes, total  # free this step's graph before the next one is built
+            del out, probes, total, x_np, y_np  # free this step's graph and batch before the next is taken
             reports.append(report)
             if writer is not None:
                 writer.writerow([step, repr(report.total), repr(report.main)] + [repr(c) for c in report.per_block])

@@ -227,6 +227,45 @@ def feature_bytes(feats):
     return feats.frames.tobytes() + feats.norm_scale.tobytes()
 
 
+def features_whole_matrix(w, with_phase):
+    """``_features`` with each stream's framing, rfft, log FFT, phase and power on all T rows at once.
+
+    The oracle of the blocked front-end; the mel products and DCTs are the
+    front-end's own, which run on all rows in both.
+    """
+    n = fe._n_frames(w.samples.size)
+    raw = np.empty((n, fe.FEATURE_DIM))
+    phase = None
+    col = fe.FFT_BINS
+    for n_mels, win_ms in fe.MEL_STREAMS:
+        win = fe._window_samples(win_ms)
+        nfft = fe._fft_size(win)
+        padded = np.zeros((n, nfft))
+        padded[:, :win] = fe.frame_view(w.samples, win, 160)[:n] * fe._hamming_periodic(win)
+        spectrum = np.fft.rfft(padded, axis=1)
+        if win_ms == fe.FRAME_MS:
+            if with_phase:
+                angle = np.angle(spectrum)
+                phase = np.where(angle <= -np.pi, np.pi, angle)
+            magnitude = np.abs(spectrum)
+            fe._log_magnitude(magnitude, fe.FFT_BINS, out=raw[:, :fe.FFT_BINS])
+            power = magnitude * magnitude
+        else:
+            power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+        fbank = raw[:, col:col + n_mels]
+        fe._mel_from_power(power, n_mels, out=fbank)
+        raw[:, col + n_mels:col + 2 * n_mels] = fe.cepstral_features(fbank)
+        col += 2 * n_mels
+    std = raw.std(axis=0)
+    scale = np.where(std > fe.CONSTANT_RTOL * np.abs(raw).max(axis=0), std, 1.0)
+    return raw / scale, scale, phase
+
+
+def samples_for_frames(n_frames):
+    """Samples of a signal with ``n_frames`` feature frames and a part-hop tail."""
+    return fe._window_samples(75.0) + (n_frames - 1) * 160 + 77
+
+
 class TestScratch:
     def test_reused_scratch_matches_fresh_over_mixed_lengths(self):
         scratch = fe._Scratch()
@@ -249,6 +288,23 @@ class TestScratch:
         before = {name: flat.ctypes.data for name, flat in scratch._flat.items()}
         fe._features(fe.Waveform(0.5 * speech.samples), scratch)
         assert before and {name: flat.ctypes.data for name, flat in scratch._flat.items()} == before
+
+    # 1, 63, 64, 65, 128 and 129 frames, each row block full or one row over, and 3 s (293 frames)
+    @pytest.mark.parametrize("n_samples", [samples_for_frames(n) for n in (1, 63, 64, 65, 128, 129)] + [48000])
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_blocks_match_the_whole_matrix_bit_for_bit(self, n_samples, with_phase):
+        w = fe.Waveform(corpus.synth_speech(3.2, seed=35).samples[:n_samples])
+        feats, phase = fe._features(w, fe._Scratch(), with_phase)
+        frames, scale, oracle_phase = features_whole_matrix(w, with_phase)
+        assert feats.frames.tobytes() == frames.tobytes() and feats.norm_scale.tobytes() == scale.tobytes()
+        assert (phase is None) == (not with_phase)
+        if with_phase:
+            assert phase.frames.tobytes() == oracle_phase.tobytes()
+
+    def test_three_seconds_leave_the_scratch_under_8_mb(self):
+        scratch = fe._Scratch()
+        fe._features(corpus.synth_speech(3.0, seed=36), scratch, with_phase=True)
+        assert 0 < sum(flat.nbytes for flat in scratch._flat.values()) < 8e6
 
     def test_phase_equals_angle_of_a_fresh_rfft(self, speech):
         _, phase = fe.assemble_features(speech)

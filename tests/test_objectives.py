@@ -1,6 +1,8 @@
 """Costs, optimizer, example sampling, and the training loop."""
 
+import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -512,22 +514,36 @@ def blas_threads() -> int:
 
 
 class Watch:
-    """Records, while ``train`` runs, which threads build batches and the BLAS count of each forward pass."""
+    """Records, while ``train`` runs, which threads build examples, each example index as it starts, and the BLAS
+    count of each forward pass.
 
-    def __init__(self, monkeypatch, fail_at_batch=None):
+    ``fail_at_batch`` makes that batch's examples raise; ``worker_sleep`` delays each example built off the
+    training thread by that many seconds; ``forward_error`` is raised by the forward pass of step 2.
+    """
+
+    def __init__(self, monkeypatch, fail_at_batch=None, worker_sleep=0.0, forward_error=None):
         self.builders: set[str] = set()
+        self.started: list[int] = []
         self.forward_blas: set[int] = set()
+        self.forwards = 0
+        self.training_thread = threading.current_thread().name
         sample_example, forward_nodes = obj.sample_example, nm.forward_nodes
         blas_count = obj._openblas_threads_api()[0]
 
         def watched_sample(corpus, cfg, index, **kw):
+            self.started.append(index)
             self.builders.add(threading.current_thread().name)
+            if worker_sleep and threading.current_thread().name != self.training_thread:
+                time.sleep(worker_sleep)
             if index // cfg.batch_size == fail_at_batch:
                 raise ValueError(f"no example for batch {fail_at_batch}")
             return sample_example(corpus, cfg, index, **kw)
 
         def watched_forward(*args, **kw):
             self.forward_blas.add(blas_count())
+            self.forwards += 1
+            if forward_error is not None and self.forwards == 3:
+                raise forward_error("at step 2")
             return forward_nodes(*args, **kw)
 
         monkeypatch.setattr(obj, "sample_example", watched_sample)
@@ -535,7 +551,8 @@ class Watch:
 
     @property
     def prefetched(self) -> bool:
-        return threading.current_thread().name not in self.builders
+        """At least one example was built off the training thread."""
+        return bool(self.builders - {self.training_thread})
 
 
 def train_outputs(corpus, directory, steps=4):
@@ -610,3 +627,70 @@ class TestBatchPrefetch:
         # steps 0 and 1 ran and refreshed the checkpoint, as a run of two steps would
         assert (tmp_path / "ck.bin").read_bytes() == two_steps[0]
         assert (tmp_path / "log.csv").read_bytes() == two_steps[1]
+
+    def test_slow_worker_leaves_examples_to_the_training_thread_with_the_same_bytes(self, small_corpus, tmp_path,
+                                                                                   monkeypatch):
+        blas_threads()
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "slow").mkdir()
+        with obj._one_blas_thread(), monkeypatch.context() as serial_patch:
+            serial_patch.setattr(obj, "OVERLAP_MAX_MACS", 0)
+            serial = train_outputs(small_corpus, tmp_path / "serial")
+
+        watch = Watch(monkeypatch, worker_sleep=0.05)
+        slow = train_outputs(small_corpus, tmp_path / "slow")
+        assert watch.prefetched and watch.training_thread in watch.builders and watch.forward_blas == {1}
+        # every example was built once
+        assert sorted(watch.started) == list(range(4 * 2))
+        assert slow == serial
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_interrupt_or_error_at_a_step_stops_the_worker(self, small_corpus, tmp_path, monkeypatch, error):
+        blas_before = blas_threads()
+        (tmp_path / "two_steps").mkdir()
+        two_steps = train_outputs(small_corpus, tmp_path / "two_steps", steps=2)
+        threads = threading.active_count()
+
+        watch = Watch(monkeypatch, forward_error=error)
+        with pytest.raises(error, match="at step 2"):
+            train_outputs(small_corpus, tmp_path, steps=8)
+        started = len(watch.started)
+        assert threading.active_count() == threads and blas_threads() == blas_before
+        # the checkpoint saved after step 1 is the last one, intact
+        assert (tmp_path / "ck.bin").read_bytes() == two_steps[0]
+        assert watch.prefetched
+        # while step 2 ran, no example of a batch past step 4 was started
+        batch_size = 2
+        assert max(watch.started) // batch_size <= 2 + 2
+        time.sleep(0.2)
+        assert len(watch.started) == started
+
+    def test_each_example_built_once_under_a_short_switch_interval(self, small_corpus, tmp_path, monkeypatch):
+        blas_threads()
+        cfg = small_train_config(steps=12, seq_len=20, batch_size=3)
+
+        def run(directory):
+            model = nm.build_model(nm.ModelConfig(blocks=1, channels=32), seed=8)
+            finished = []
+            # a thread of its own, so that a lost wakeup fails the test instead of hanging it
+            runner = threading.Thread(target=lambda: finished.append(
+                obj.train(model, small_corpus, cfg, checkpoint_path=directory / "ck.bin")), daemon=True)
+            runner.start()
+            runner.join(120)
+            assert not runner.is_alive() and finished
+            return (directory / "ck.bin").read_bytes()
+
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "shared").mkdir()
+        with obj._one_blas_thread(), monkeypatch.context() as serial_patch:
+            serial_patch.setattr(obj, "OVERLAP_MAX_MACS", 0)
+            serial = run(tmp_path / "serial")
+        watch = Watch(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shared = run(tmp_path / "shared")
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(watch.started) == list(range(12 * 3))
+        assert shared == serial
