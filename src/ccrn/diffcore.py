@@ -206,8 +206,10 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
         _accumulate(bias, g3.sum(axis=(0, 1)))
         if not (weight.requires_grad or x.requires_grad):
             return
-        gflat = np.zeros((b * span, c_out), dtype=g.dtype)
+        # G: g per example, zero on the 2p rows that straddle two examples
+        gflat = np.empty((b * span, c_out), dtype=g.dtype)
         gflat.reshape(b, span, c_out)[:, :t] = g3
+        gflat.reshape(b, span, c_out)[:, t:] = 0
         gflat = gflat[:rows]
         if weight.requires_grad:
             flat = np.pad(xv, pad).reshape(b * span, c_in)
@@ -216,8 +218,10 @@ def conv1d(x: Node, weight: Node, bias: Node) -> Node:
                 dw[:, :, j] = gflat.T @ flat[j:j + rows]
             _accumulate(weight, dw)
         if x.requires_grad:
-            dflat = np.zeros((b * span, c_in), dtype=xv.dtype)
-            for j in range(k):
+            dflat = np.empty((b * span, c_in), dtype=xv.dtype)
+            np.matmul(gflat, w[:, :, 0], out=dflat[:rows])
+            dflat[rows:] = 0
+            for j in range(1, k):
                 dflat[j:j + rows] += gflat @ w[:, :, j]
             dx = dflat.reshape(b, span, c_in)[:, padding:padding + t]
             _accumulate(x, (dx[0] if unbatched else dx).copy())
@@ -254,27 +258,39 @@ def batchnorm1d(x: Node, state: BatchNormState) -> Node:
             raise ValueError("batchnorm1d: batch statistics need at least 2 samples per channel")
         mu = xv.mean(axis=axes)
         xhat = xv - mu
-        var = np.mean(xhat * xhat, axis=axes)
+        out = xhat * xhat  # the squared deviations, then the output
+        var = np.mean(out, axis=axes)
         inv_std = 1.0 / np.sqrt(var + state.eps)
         xhat *= inv_std
         state.running_mean += state.momentum * (mu - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
     else:  # no graph is built, so no backward reads mu
         inv_std = (1.0 / np.sqrt(state.running_var + state.eps)).astype(xv.dtype)
-        xhat = (xv - state.running_mean) * inv_std
-    out = gamma.value * xhat + beta.value
+        xhat = out = xv - state.running_mean
+        xhat *= inv_std
+    # out = gamma * xhat + beta
+    np.multiply(gamma.value, xhat, out=out)
+    out += beta.value
 
     def backward(g: Array) -> None:
         _accumulate(beta, g.sum(axis=axes))
         xhat = xv - mu
         xhat *= inv_std
+        product = np.empty_like(xhat)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=axes))
+            _accumulate(gamma, np.multiply(g, xhat, out=product).sum(axis=axes))
         if x.requires_grad:
             dxhat = g * gamma.value
             s1 = dxhat.sum(axis=axes)
-            s2 = (dxhat * xhat).sum(axis=axes)
-            _accumulate(x, (dxhat - (s1 + xhat * s2) / m) * inv_std)
+            s2 = np.multiply(dxhat, xhat, out=product).sum(axis=axes)
+            del product
+            # dx = (dxhat - (s1 + xhat * s2) / m) * inv_std, in place
+            xhat *= s2
+            xhat += s1
+            xhat /= m
+            dxhat -= xhat
+            dxhat *= inv_std
+            _accumulate(x, dxhat)
 
     return Node(out, parents=(x, gamma, beta), backward=backward, op="batchnorm1d")
 

@@ -20,6 +20,7 @@ import glob
 import math
 import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -182,13 +183,23 @@ def adamw_step(params: Sequence[tuple[str, Node]], state: OptimizerState, cfg: T
             state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
         m, v = state.m[name], state.v[name]
+        # the ufuncs of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and the update, in their
+        # order, into two temporaries of the parameter's shape: the same bits with fewer arrays
+        a, b = np.empty_like(p.value), np.empty_like(p.value)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.value -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        np.multiply(1.0 - cfg.beta2, g, out=b)
+        b *= g
+        v += b
+        # p.value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(cfg.lr, np.divide(m, bc1, out=a), out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += cfg.epsilon
+        a /= b
+        p.value -= a
         if cfg.weight_decay:
-            p.value -= (cfg.lr * cfg.weight_decay) * p.value
+            p.value -= np.multiply(cfg.lr * cfg.weight_decay, p.value, out=a)
 
 
 def sample_example(
@@ -348,117 +359,71 @@ def _conv_macs_per_frame(model: ModelParams) -> int:
     return sum(node.value.size for name, node in netmodel.named_parameters(model) if name.endswith(".weight"))
 
 
-@dataclass
-class _Slots:
-    """One batch's arrays and the count of its example slots taken and done, with each failed slot's error."""
-
-    arrays: tuple[np.ndarray, np.ndarray]
-    taken: int = 0
-    done: int = 0
-    errors: dict[int, BaseException] = field(default_factory=dict)
-
-
 class _SharedBatches:
-    """The batches of ``steps``, built one example slot at a time by the training thread and a worker.
+    """The batches of ``steps``, built one example at a time by the training thread and a worker.
 
-    Slot i is example i of the run, row i % batch_size of step
-    i // batch_size's batch; both threads take slots in order from one
-    counter, so every slot below it is taken. With ``overlap`` a worker
-    thread takes slots from the first on, carrying on into the next batch,
-    but never a slot of a batch more than ``AHEAD`` steps past the one the
-    training thread trains or waits for. ``take(step)`` first builds, on
-    the calling thread with its own scratch, every slot of that batch nobody
-    has taken, and then waits only for the slots the worker is building.
-    Without ``overlap`` it builds the whole batch. A failed example is
-    raised by ``take`` of its own step, the lowest failed slot's error, as
-    a serial run would raise it; the worker takes no slot after one fails.
-    ``close`` stops the worker after its current example and joins it.
+    With ``overlap`` each example is one task of a one-thread pool, queued
+    in example order: ``take(step)`` queues the batches of steps ``step``
+    to ``step + AHEAD`` not queued yet, so the worker builds at most
+    ``AHEAD`` batches ahead of the one being trained. ``take`` then builds on the
+    calling thread, through a scratch that lives only inside ``take``,
+    every task of its batch the worker has not started (each one it can
+    still cancel), and waits for the ones the worker did start. Without
+    ``overlap`` it builds the whole batch. A failed example is raised by
+    ``take`` of its own step, the lowest failed example's error, as a
+    serial run would raise it. ``close`` cancels the queued tasks and joins
+    the worker after its current example.
     """
 
-    AHEAD = 2
+    AHEAD = 1
 
     def __init__(self, corpus, cfg: TrainConfig, steps: range, dtype, n_bands: int, overlap: bool) -> None:
-        self._corpus, self._cfg, self._dtype, self._n_bands = corpus, cfg, dtype, n_bands
+        self._corpus, self._cfg, self._steps, self._dtype, self._n_bands = corpus, cfg, steps, dtype, n_bands
         self._clean_targets: dict[int, LogSpectrogram] = {}  # corpus index -> full clean log spectrum
-        self._cond = threading.Condition()
-        self._next = steps.start * cfg.batch_size  # the lowest slot nobody has taken
-        self._end = steps.stop * cfg.batch_size
-        self._step = steps.start  # the step the training thread trains or waits for
-        self._batches: dict[int, _Slots] = {}
-        self._stopped = False
-        self._scratch = frontend._Scratch()  # the training thread's
-        self._worker = threading.Thread(target=self._work, name="ccrn-batches") if overlap else None
-        if self._worker is not None:
-            self._worker.start()
+        self._queued: dict[int, tuple[tuple[np.ndarray, np.ndarray], list[Future]]] = {}
+        self._worker_scratch: frontend._Scratch | None = None
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="ccrn-batches") if overlap else None
 
-    def _claim(self) -> tuple[int, _Slots]:
-        """The lowest slot nobody has taken, now taken, and its batch; the caller holds the lock."""
-        index = self._next
-        self._next += 1
-        slots = self._batches.get(index // self._cfg.batch_size)
-        if slots is None:
-            slots = self._batches[index // self._cfg.batch_size] = _Slots(
-                _empty_batch(self._cfg, self._dtype, self._n_bands))
-        slots.taken += 1
-        return index, slots
+    def _work(self, index: int, batch: tuple[np.ndarray, np.ndarray]) -> None:
+        if self._worker_scratch is None:  # made by the worker, the one thread that runs this
+            self._worker_scratch = frontend._Scratch()
+        _put_example(self._corpus, self._cfg, index, batch, self._clean_targets, self._worker_scratch)
 
-    def _build(self, index: int, slots: _Slots, scratch: frontend._Scratch, catch: type[BaseException]) -> bool:
-        """Builds slot ``index``; False if it raised ``catch``, the error kept for ``take`` to raise."""
-        error = None
-        try:
-            _put_example(self._corpus, self._cfg, index, slots.arrays, self._clean_targets, scratch)
-        except catch as exc:
-            error = exc
-        with self._cond:
-            if error is not None:
-                slots.errors[index] = error
-            slots.done += 1
-            self._cond.notify_all()
-        return error is None
-
-    def _work(self) -> None:
-        scratch = frontend._Scratch()
-        while True:
-            with self._cond:
-                while (not self._stopped and self._next < self._end
-                       and self._next // self._cfg.batch_size > self._step + self.AHEAD):
-                    self._cond.wait()
-                if self._stopped or self._next >= self._end:
-                    return
-                index, slots = self._claim()
-            # take() raises a worker's error of any kind on the training thread
-            if not self._build(index, slots, scratch, BaseException):
-                return
+    def _queue(self, step: int) -> None:
+        """Step ``step``'s examples queued on the worker, unless the run has no such step or they are queued."""
+        if step in self._steps and step not in self._queued:
+            batch = _empty_batch(self._cfg, self._dtype, self._n_bands)
+            first = step * self._cfg.batch_size
+            indices = range(first, first + self._cfg.batch_size)
+            self._queued[step] = batch, [self._pool.submit(self._work, index, batch) for index in indices]
 
     def take(self, step: int) -> tuple[np.ndarray, np.ndarray]:
         """Step ``step``'s features and targets, once every one of its examples is built."""
-        end = (step + 1) * self._cfg.batch_size
-        with self._cond:
-            self._step = step
-            self._cond.notify_all()
-        while True:
-            with self._cond:
-                slots = self._batches.get(step)
-                if self._next >= end or (slots is not None and slots.errors):
-                    break
-                index, slots = self._claim()
-            # a Ctrl-C raised here leaves at once; close() still stops the worker
-            if not self._build(index, slots, self._scratch, Exception):
-                break
-        with self._cond:
-            slots = self._batches.pop(step)
-            while slots.done < slots.taken:
-                self._cond.wait()
-        if slots.errors:
-            raise slots.errors[min(slots.errors)]
-        return slots.arrays
+        scratch = frontend._Scratch()  # the training thread's, freed on return
+        if self._pool is None:
+            return _batch(self._corpus, self._cfg, step, self._dtype, self._n_bands, self._clean_targets, scratch)
+        for ahead in range(step, step + self.AHEAD + 1):
+            self._queue(ahead)
+        batch, tasks = self._queued.pop(step)
+        first = step * self._cfg.batch_size
+        errors: dict[int, BaseException] = {}
+        for index, task in enumerate(tasks, first):
+            # a task the worker started cannot be cancelled; after a failure the rest are only cancelled
+            if task.cancel() and not errors:
+                try:
+                    _put_example(self._corpus, self._cfg, index, batch, self._clean_targets, scratch)
+                except Exception as exc:  # a Ctrl-C leaves at once; close() still stops the worker
+                    errors[index] = exc
+        for index, task in enumerate(tasks, first):
+            if not task.cancelled() and task.exception() is not None:
+                errors[index] = task.exception()
+        if errors:
+            raise errors[min(errors)]
+        return batch
 
     def close(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-        if self._worker is not None:
-            self._worker.join()
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def train(

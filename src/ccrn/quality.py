@@ -107,7 +107,11 @@ def llr(reference: Waveform, test: Waveform) -> float:
     reference length. Frames where either model fails are skipped. Lower
     is better.
     """
-    active = vad_mask(reference)
+    return _llr(reference, test, vad_mask(reference))
+
+
+def _llr(reference: Waveform, test: Waveform, active: np.ndarray) -> float:
+    """``llr`` over the frames ``active`` marks, the reference's ``vad_mask``."""
     if not active.any():
         raise ValueError("reference has no active frames")
     n = reference.samples.size
@@ -209,8 +213,5 @@ def srmr(w: Waveform) -> float:
 
 def quality_report(reference: Waveform, test: Waveform) -> QualityReport:
     """LLR against the reference, SRMR of the test, active-frame count."""
-    return QualityReport(
-        llr=llr(reference, test),
-        srmr=srmr(test),
-        n_active_frames=int(vad_mask(reference).sum()),
-    )
+    active = vad_mask(reference)
+    return QualityReport(llr=_llr(reference, test, active), srmr=srmr(test), n_active_frames=int(active.sum()))

@@ -114,6 +114,36 @@ class TestConv1d:
         first = dc.conv1d(x, w, b).value
         assert np.array_equal(first, dc.conv1d(x, w, b).value)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_backward_matches_zero_filled_sums_bit_for_bit(self, dtype, batch, k):
+        rng = np.random.default_rng(20)
+        t, c_in, c_out, p = 9, 4, 5, (k - 1) // 2
+        x = rng.standard_normal(batch + (t, c_in)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
+        g = rng.standard_normal(batch + (t, c_out)).astype(dtype)
+        xs, ws, bs = dc.parameter(x), dc.parameter(w), dc.parameter(np.zeros(c_out, dtype))
+        dc.conv1d(xs, ws, bs)._backward(g)
+
+        # the sums over whole zero-filled buffers
+        x3, g3 = (x, g) if batch else (x[None], g[None])
+        b, span = len(x3), t + 2 * p
+        rows = b * span - 2 * p
+        flat = np.pad(x3, ((0, 0), (p, p), (0, 0))).reshape(b * span, c_in)
+        gflat = np.zeros((b * span, c_out), dtype)
+        gflat.reshape(b, span, c_out)[:, :t] = g3
+        gflat = gflat[:rows]
+        dflat = np.zeros((b * span, c_in), dtype)
+        dw = np.empty_like(w)
+        for j in range(k):
+            dw[:, :, j] = gflat.T @ flat[j:j + rows]
+            dflat[j:j + rows] += gflat @ w[:, :, j]
+        dx = dflat.reshape(b, span, c_in)[:, p:p + t]
+        assert xs.grad.tobytes() == (dx if batch else dx[0]).tobytes()
+        assert ws.grad.tobytes() == dw.tobytes()
+        assert bs.grad.tobytes() == g3.sum(axis=(0, 1)).tobytes()
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_examples_do_not_leak_into_neighbours(self, k):
         # the flat GEMM computes rows that straddle two examples; none may reach the result
@@ -225,6 +255,42 @@ class TestBatchNorm:
         state = bn_state(2)
         with pytest.raises(ValueError, match="2 samples"):
             dc.batchnorm1d(dc.Node(np.zeros((1, 2))), state)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(40, 6), (3, 40, 6)])
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_matches_the_textbook_formulas_bit_for_bit(self, dtype, shape, graph):
+        rng = np.random.default_rng(19)
+        c = shape[-1]
+        x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.standard_normal(c).astype(dtype)
+        mean, var = rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
+        state = dc.BatchNormState(dc.parameter(gamma.copy()), dc.parameter(beta.copy()), mean.copy(), var.copy())
+        xs = dc.parameter(x)
+        axes, m, eps, momentum = tuple(range(len(shape) - 1)), math.prod(shape[:-1]), state.eps, state.momentum
+        if not graph:
+            with dc.no_grad():
+                out = dc.batchnorm1d(xs, state)
+            inv_std = (1.0 / np.sqrt(var + eps)).astype(dtype)
+            assert out.value.tobytes() == (gamma * ((x - mean) * inv_std) + beta).tobytes()
+            return
+
+        out = dc.batchnorm1d(xs, state)
+        out._backward(g)
+        mu = x.mean(axis=axes)
+        xhat = x - mu
+        batch_var = np.mean(xhat * xhat, axis=axes)
+        inv_std = 1.0 / np.sqrt(batch_var + eps)
+        xhat *= inv_std
+        assert out.value.tobytes() == (gamma * xhat + beta).tobytes()
+        assert state.running_mean.tobytes() == (mean + momentum * (mu - mean)).tobytes()
+        assert state.running_var.tobytes() == (var + momentum * (batch_var - var)).tobytes()
+        dxhat = g * gamma
+        s1, s2 = dxhat.sum(axis=axes), (dxhat * xhat).sum(axis=axes)
+        assert xs.grad.tobytes() == ((dxhat - (s1 + xhat * s2) / m) * inv_std).tobytes()
+        assert state.gamma.grad.tobytes() == (g * xhat).sum(axis=axes).tobytes()
+        assert state.beta.grad.tobytes() == g.sum(axis=axes).tobytes()
 
 
 class TestPrelu:

@@ -1,5 +1,6 @@
 """Costs, optimizer, example sampling, and the training loop."""
 
+import gc
 import sys
 import threading
 import time
@@ -193,6 +194,33 @@ class TestAdamW:
                 obj.adamw_step([("p", p)], state, cfg)
                 ref = oracle.step(ref, g)
             assert np.max(np.abs(p.value - ref)) < 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+    def test_matches_the_out_of_place_expression_bit_for_bit(self, dtype, weight_decay):
+        rng = np.random.default_rng(49)
+        cfg = obj.TrainConfig(lr=1e-2, weight_decay=weight_decay)
+        shapes = {"w": (6, 4, 3), "b": (6,)}
+        params = [(name, dc.parameter(rng.standard_normal(shape).astype(dtype))) for name, shape in shapes.items()]
+        theta = {name: p.value.copy() for name, p in params}
+        m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
+        state = obj.OptimizerState()
+        for t in range(1, 4):
+            for name, p in params:
+                p.grad = rng.standard_normal(shapes[name]).astype(dtype)
+            obj.adamw_step(params, state, cfg)
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for name, p in params:
+                g = p.grad
+                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+                theta[name] -= cfg.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.epsilon)
+                if weight_decay:
+                    theta[name] -= (cfg.lr * cfg.weight_decay) * theta[name]
+                assert p.value.dtype == dtype
+                assert p.value.tobytes() == theta[name].tobytes()
+                assert state.m[name].tobytes() == m[name].tobytes() and state.v[name].tobytes() == v[name].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +546,8 @@ class Watch:
     count of each forward pass.
 
     ``fail_at_batch`` makes that batch's examples raise; ``worker_sleep`` delays each example built off the
-    training thread by that many seconds; ``forward_error`` is raised by the forward pass of step 2.
+    training thread by that many seconds; ``forward_error`` is raised by the forward pass of step 2, 50 ms after it
+    starts, time for the worker to run as far ahead as it may.
     """
 
     def __init__(self, monkeypatch, fail_at_batch=None, worker_sleep=0.0, forward_error=None):
@@ -543,6 +572,7 @@ class Watch:
             self.forward_blas.add(blas_count())
             self.forwards += 1
             if forward_error is not None and self.forwards == 3:
+                time.sleep(0.05)
                 raise forward_error("at step 2")
             return forward_nodes(*args, **kw)
 
@@ -659,11 +689,95 @@ class TestBatchPrefetch:
         # the checkpoint saved after step 1 is the last one, intact
         assert (tmp_path / "ck.bin").read_bytes() == two_steps[0]
         assert watch.prefetched
-        # while step 2 ran, no example of a batch past step 4 was started
+        # while step 2 ran, no example of a batch past step 3 was started
         batch_size = 2
-        assert max(watch.started) // batch_size <= 2 + 2
+        assert max(watch.started) // batch_size <= 2 + 1
         time.sleep(0.2)
         assert len(watch.started) == started
+
+    def test_at_most_two_batches_alive_at_each_forward(self, small_corpus, tmp_path, monkeypatch):
+        blas_threads()
+        batches, alive = [], []
+        empty_batch = obj._empty_batch
+
+        def tracked_batch(*args):
+            batch = empty_batch(*args)
+            batches.append(weakref.ref(batch[0]))
+            return batch
+
+        watch = Watch(monkeypatch)
+        forward_nodes = nm.forward_nodes
+
+        def forward(*args, **kw):
+            time.sleep(0.05)  # time for the worker to run as far ahead as it may
+            alive.append(sum(ref() is not None for ref in batches))
+            return forward_nodes(*args, **kw)
+
+        monkeypatch.setattr(obj, "_empty_batch", tracked_batch)
+        monkeypatch.setattr(nm, "forward_nodes", forward)
+        train_outputs(small_corpus, tmp_path, steps=6)
+        assert watch.prefetched
+        # the batch being trained and the one queued after it (AHEAD = 1); the last step has no next batch
+        assert alive == [2] * 5 + [1]
+
+    def test_training_thread_holds_no_scratch_while_the_network_runs(self, small_corpus, tmp_path, monkeypatch):
+        blas_threads()
+        made, held = [], []  # (thread, weakref) of every scratch; the training thread's alive at each forward
+
+        class Scratch(fe._Scratch):
+            def __init__(self):
+                super().__init__()
+                made.append((threading.current_thread().name, weakref.ref(self)))
+
+        watch = Watch(monkeypatch, worker_sleep=0.05)
+        forward_nodes = nm.forward_nodes
+
+        def forward(*args, **kw):
+            held.append(sum(name == watch.training_thread and ref() is not None for name, ref in made))
+            return forward_nodes(*args, **kw)
+
+        monkeypatch.setattr(fe, "_Scratch", Scratch)
+        monkeypatch.setattr(nm, "forward_nodes", forward)
+        gc.disable()  # so that a reference cycle keeping a scratch alive is not collected behind the test's back
+        try:
+            train_outputs(small_corpus, tmp_path)
+            assert all(ref() is None for _, ref in made)  # every scratch, the worker's too, is freed on return
+        finally:
+            gc.enable()
+        assert watch.prefetched and watch.training_thread in watch.builders
+        assert any(name == watch.training_thread for name, _ in made)
+        assert held == [0] * 4
+
+    def test_failures_on_both_threads_raise_the_lower_example(self, small_corpus, tmp_path, monkeypatch):
+        blas_threads()
+        training_thread = threading.current_thread()
+        worker_started, training_failed = threading.Event(), threading.Event()
+        sample_example, forward_nodes = obj.sample_example, nm.forward_nodes
+
+        def failing_sample(corpus, cfg, index, **kw):
+            # batch 2 is examples 4 and 5: the worker fails 4 after the training thread fails 5
+            if index == 4 and threading.current_thread() is not training_thread:
+                worker_started.set()
+                assert training_failed.wait(20)
+                raise ValueError("example 4, on the worker")
+            if index == 5 and threading.current_thread() is training_thread:
+                training_failed.set()
+                raise ValueError("example 5, on the training thread")
+            return sample_example(corpus, cfg, index, **kw)
+
+        forwards = []
+
+        def forward(*args, **kw):
+            if len(forwards) == 1:
+                assert worker_started.wait(20)  # step 1 holds the training thread until the worker starts 4
+            forwards.append(None)
+            return forward_nodes(*args, **kw)
+
+        monkeypatch.setattr(obj, "sample_example", failing_sample)
+        monkeypatch.setattr(nm, "forward_nodes", forward)
+        with pytest.raises(ValueError, match="example 4, on the worker"):
+            train_outputs(small_corpus, tmp_path)
+        assert training_failed.is_set() and len(forwards) == 2
 
     def test_each_example_built_once_under_a_short_switch_interval(self, small_corpus, tmp_path, monkeypatch):
         blas_threads()

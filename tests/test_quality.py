@@ -286,3 +286,14 @@ class TestReport:
         assert report.llr > 0.0
         assert report.srmr > 0.0
         assert report.n_active_frames > 0
+
+    def test_quality_report_frames_the_reference_once(self, monkeypatch):
+        clean = cp.synth_speech(1.5, seed=131)
+        noisy = corrupted(clean, 1, 0.7)
+        want = (q.llr(clean, noisy), q.srmr(noisy), int(q.vad_mask(clean).sum()))
+        masks = []
+        vad_mask = q.vad_mask
+        monkeypatch.setattr(q, "vad_mask", lambda w: masks.append(w) or vad_mask(w))
+        report = q.quality_report(clean, noisy)
+        assert len(masks) == 1 and masks[0] is clean
+        assert (report.llr, report.srmr, report.n_active_frames) == want
